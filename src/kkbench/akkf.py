@@ -18,7 +18,6 @@ import numpy as np
 from .kernels import (
     Ensemble,
     GaussianBelief,
-    GramMatrix,
     KernelSpec,
     POLY_KINDS,
     SingularMatrixError,
@@ -44,9 +43,7 @@ class AkkfConfig:
     """Kernel choices and ridge parameters of one filter instance.
 
     ``lambda_tilde`` regularizes the change-of-basis solves, ``kappa`` the
-    gain solve.  ``lambda_K`` is the likelihood-operator ridge; the update
-    implemented here assumes it is zero, so the field records the intended
-    value and only zero is accepted.
+    gain solve.
     """
 
     state_kernel: KernelSpec
@@ -54,7 +51,6 @@ class AkkfConfig:
     M: int = 50
     lambda_tilde: float = 1e-3
     kappa: float = 1e-3
-    lambda_K: float = 0.0
 
     def __post_init__(self) -> None:
         if self.M < 2:
@@ -63,8 +59,6 @@ class AkkfConfig:
             raise ValueError("lambda_tilde must be positive")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.lambda_K != 0.0:
-            raise ValueError("nonzero lambda_K is not supported by this update")
 
 
 @dataclass
@@ -72,20 +66,19 @@ class AkkfState:
     """Mutable filter state.
 
     ``particles`` is the current basis, ``proposal_particles`` the basis the
-    next prediction propagates.  The minus/plus/tilde weight vectors and
-    covariances follow the predict/update/rebasis stages of step ``n``.
+    next prediction propagates.  ``w`` and ``S`` are the weight vector and
+    weight covariance over the basis the last stage produced: the proposals
+    after init and propose, the current particles after predict and update.
+    ``V`` is the propagation residual of the proposal basis, added to ``S``
+    by the next prediction.
     """
 
     config: AkkfConfig
     particles: Ensemble
     proposal_particles: Ensemble
-    w_minus: np.ndarray
-    w_plus: np.ndarray
-    w_tilde: np.ndarray
-    S_minus: np.ndarray
-    S_plus: np.ndarray
-    S_tilde: np.ndarray
-    Gamma: np.ndarray
+    w: np.ndarray
+    S: np.ndarray
+    V: np.ndarray
     n: int = 0
 
 
@@ -114,39 +107,50 @@ def gain_update(
     return w_plus, (S_plus + S_plus.T) / 2.0
 
 
-def _read_belief(cfg: AkkfConfig, particles: Ensemble, w: np.ndarray, S: np.ndarray) -> GaussianBelief:
-    # Polynomial feature spaces carry the first two moments in the embedding
-    # itself; other kernels project the weight-space moments onto particles.
-    if cfg.state_kernel.kind in POLY_KINDS:
-        return extract_moments_poly(cfg.state_kernel, particles, w)
-    return project_moments(particles, w, S)
-
-
-def _gram_scale(K: GramMatrix) -> float:
+def _gram_scale(K: np.ndarray) -> float:
     # lambda_tilde is relative to the kernel's self-similarity scale so one
     # value works across data magnitudes; rescaling k by a constant leaves
     # (K + lambda*scale*I)^-1 K_cross unchanged.  Gaussian grams have unit
     # diagonal, so this is the identity for them.
-    return float(np.mean(np.diag(K.values)))
+    return float(np.mean(np.diag(K)))
+
+
+def _rebasis(
+    cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble
+) -> tuple[np.ndarray, np.ndarray]:
+    """Change of basis onto ``proposals`` and their propagation residual.
+
+    One ridge solve on the proposal self-Gram K serves both: its stacked
+    right-hand side gives Gamma = (K + lambda I)^-1 K_px, which maps weights
+    over ``particles`` onto the proposals, and the ridge-smoothed identity
+    T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
+    the finite-sample propagation error the next prediction adds.
+    """
+    spec = resolve_bandwidth(cfg.state_kernel, proposals)
+    K_pp = gram(spec, proposals, proposals)
+    K_px = gram(spec, proposals, particles)
+    lam = cfg.lambda_tilde * _gram_scale(K_pp)
+    X = ridge_solve(K_pp, lam, np.hstack([K_px, K_pp]), name="proposal self-gram")
+    m = proposals.count
+    residual = X[:, particles.count :] - np.eye(m)
+    return X[:, : particles.count], (residual @ residual.T) / m
 
 
 def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> AkkfState:
-    """Draw the initial ensemble from the prior with uniform weights."""
+    """Draw the initial ensemble from the prior with uniform weights.
+
+    The prior draws are also the first proposal basis.
+    """
     columns = np.column_stack([model.sample_prior(rng) for _ in range(cfg.M)])
     particles = Ensemble(columns)
-    w0 = np.full(cfg.M, 1.0 / cfg.M)
-    S0 = np.eye(cfg.M) / cfg.M
+    _, V = _rebasis(cfg, particles, particles)
     return AkkfState(
         config=cfg,
         particles=particles,
         proposal_particles=particles,
-        w_minus=w0.copy(),
-        w_plus=w0.copy(),
-        w_tilde=w0.copy(),
-        S_minus=S0.copy(),
-        S_plus=S0.copy(),
-        S_tilde=S0.copy(),
-        Gamma=np.eye(cfg.M),
+        w=np.full(cfg.M, 1.0 / cfg.M),
+        S=np.eye(cfg.M) / cfg.M,
+        V=V,
         n=0,
     )
 
@@ -154,12 +158,10 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
 def predict(state: AkkfState, model: StateSpaceModel, rng: np.random.Generator) -> AkkfState:
     """Propagate proposal particles and form the predictive weights.
 
-    The predictive weight vector is carried over from the rebased posterior
-    unchanged; the weight covariance gains the residual term
-    V = (1/M) (T - I)(T - I)^T with T the ridge-smoothed identity on the
-    proposal self-Gram, accounting for the finite-sample propagation error.
+    The weight vector is carried over from the rebased posterior unchanged;
+    the weight covariance gains the proposal basis's residual ``V``,
+    accounting for the finite-sample propagation error.
     """
-    cfg = state.config
     n = state.n + 1
     proposals = state.proposal_particles
     m = proposals.count
@@ -169,13 +171,8 @@ def predict(state: AkkfState, model: StateSpaceModel, rng: np.random.Generator) 
         columns[:, i] = model.process(proposals.particles[:, i], noise[:, i], n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "propagated particle")
-    spec = resolve_bandwidth(cfg.state_kernel, proposals)
-    K = gram(spec, proposals, proposals)
-    T = ridge_solve(K, cfg.lambda_tilde * _gram_scale(K), K.values, name="proposal self-gram")
-    residual = T - np.eye(m)
     state.particles = Ensemble(columns)
-    state.w_minus = state.w_tilde.copy()
-    state.S_minus = state.S_tilde + (residual @ residual.T) / m
+    state.S = state.S + state.V
     state.n = n
     return state
 
@@ -201,40 +198,40 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     spec = resolve_bandwidth(cfg.obs_kernel, obs)
     G = gram(spec, obs, obs)
     target = Ensemble(np.atleast_1d(np.asarray(y_n, dtype=float)).reshape(-1, 1))
-    g_vec = gram(spec, obs, target).values[:, 0]
-    state.w_plus, state.S_plus = gain_update(
-        state.w_minus, state.S_minus, G.values, g_vec, cfg.kappa
-    )
+    g_vec = gram(spec, obs, target)[:, 0]
+    state.w, state.S = gain_update(state.w, state.S, G, g_vec, cfg.kappa)
     return state
 
 
-def estimate(state: AkkfState, cfg: AkkfConfig) -> GaussianBelief:
-    """Read the posterior belief out of the updated weights."""
-    return _read_belief(cfg, state.particles, state.w_plus, state.S_plus)
+def estimate(state: AkkfState) -> GaussianBelief:
+    """Read the posterior belief out of the updated weights.
+
+    Polynomial feature spaces carry the first two moments in the embedding
+    itself; other kernels project the weight-space moments onto particles.
+    Non-finite moments mean the filter diverged.
+    """
+    kernel = state.config.state_kernel
+    try:
+        if kernel.kind in POLY_KINDS:
+            return extract_moments_poly(kernel, state.particles, state.w)
+        return project_moments(state.particles, state.w, state.S)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise FilterDivergedError(state.n, "belief moments") from exc
 
 
-def propose(state: AkkfState, cfg: AkkfConfig, rng: np.random.Generator) -> AkkfState:
+def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) -> AkkfState:
     """Redraw proposal particles and re-express the weights in their basis.
 
-    Proposals are sampled from the posterior belief read-out; the basis
-    change solves the ridge system between the proposal self-Gram and the
+    Proposals are sampled from the posterior belief; the basis change solves
+    the ridge system between the proposal self-Gram and the
     proposal-to-current cross-Gram.
     """
-    try:
-        belief = _read_belief(cfg, state.particles, state.w_plus, state.S_plus)
-    except ValueError as exc:
-        raise FilterDivergedError(state.n, "belief moments") from exc
-    proposals = Ensemble(belief.sample(rng, cfg.M))
-    spec = resolve_bandwidth(cfg.state_kernel, proposals)
-    K_pp = gram(spec, proposals, proposals)
-    K_px = gram(spec, proposals, state.particles)
-    lam = cfg.lambda_tilde * _gram_scale(K_pp)
-    Gamma = ridge_solve(K_pp, lam, K_px.values, name="proposal self-gram")
-    S_tilde = Gamma @ state.S_plus @ Gamma.T
+    proposals = Ensemble(belief.sample(rng, state.config.M))
+    Gamma, state.V = _rebasis(state.config, proposals, state.particles)
+    S = Gamma @ state.S @ Gamma.T
     state.proposal_particles = proposals
-    state.Gamma = Gamma
-    state.w_tilde = Gamma @ state.w_plus
-    state.S_tilde = (S_tilde + S_tilde.T) / 2.0
+    state.w = Gamma @ state.w
+    state.S = (S + S.T) / 2.0
     return state
 
 
@@ -242,14 +239,13 @@ def step(
     state: AkkfState,
     y_n,
     model: StateSpaceModel,
-    cfg: AkkfConfig,
     rng: np.random.Generator,
 ) -> tuple[AkkfState, GaussianBelief]:
     """One full filter cycle; returns the belief formed after the update."""
     predict(state, model, rng)
     update(state, y_n, model, rng)
-    belief = estimate(state, cfg)
-    propose(state, cfg, rng)
+    belief = estimate(state)
+    propose(state, belief, rng)
     return state, belief
 
 
@@ -264,6 +260,6 @@ def filter_sequence(
     horizon = observations.shape[1]
     means = np.empty((model.state_dim, horizon))
     for n in range(horizon):
-        state, belief = step(state, observations[:, n], model, cfg, rng)
+        state, belief = step(state, observations[:, n], model, rng)
         means[:, n] = belief.mean
     return means

@@ -251,9 +251,9 @@ def kkr_fit(
     obs_kernel = resolve_bandwidth(obs_kernel or KernelSpec("gaussian"), observations)
     K_pp = gram(state_kernel, predecessors, predecessors)
     K_px = gram(state_kernel, predecessors, states)
-    T = ridge_solve(K_pp, lambda_pred, K_px.values, name="predecessor self-gram")
-    smoother = ridge_solve(K_pp, lambda_pred, K_pp.values, name="predecessor self-gram")
-    residual = smoother - np.eye(predecessors.count)
+    X = ridge_solve(K_pp, lambda_pred, np.hstack([K_px, K_pp]), name="predecessor self-gram")
+    T = X[:, : states.count]
+    residual = X[:, states.count :] - np.eye(predecessors.count)
     V = (residual @ residual.T) / predecessors.count
     G = gram(obs_kernel, observations, observations)
     return KkrModel(
@@ -262,7 +262,7 @@ def kkr_fit(
         observations=observations,
         T=T,
         V=V,
-        G_yy=G.values,
+        G_yy=G,
         obs_kernel=obs_kernel,
         lambda_pred=lambda_pred,
         kappa=kappa,
@@ -282,7 +282,7 @@ def kkr_step(
     S_minus = model.T @ S @ model.T.T + model.V
     S_minus = (S_minus + S_minus.T) / 2.0
     target = Ensemble(np.atleast_1d(np.asarray(y_n, dtype=float)).reshape(-1, 1))
-    g_vec = gram(model.obs_kernel, model.observations, target).values[:, 0]
+    g_vec = gram(model.obs_kernel, model.observations, target)[:, 0]
     w_plus, S_plus = gain_update(w_minus, S_minus, model.G_yy, g_vec, model.kappa)
     belief = project_moments(model.states, w_plus, S_plus)
     return w_plus, S_plus, belief

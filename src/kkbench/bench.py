@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -241,26 +241,15 @@ def sweep(
     """Cross-product of filters and particle counts, one summary per cell.
 
     Rows come back ordered by (filter, M) ascending.  Every cell reuses the
-    base seed, so each row matches an individually executed run_mc.
+    base seed, so each row matches an individually executed run_mc.  All
+    cells are validated before the first one runs.
     """
     if not particle_grid or not filters:
         raise ValueError("particle grid and filter list must be nonempty")
-    rows = []
-    for name in sorted(filters):
-        for m in sorted(particle_grid):
-            cfg = ScenarioConfig(
-                scenario=base.scenario,
-                filter=name,
-                M=m,
-                realizations=base.realizations,
-                seed=base.seed,
-                lam=base.lam,
-                kappa=base.kappa,
-                horizon=base.horizon,
-            )
-            _, summary = run_mc(cfg, workers=workers)
-            rows.append((cfg, summary))
-    return rows
+    cells = [
+        replace(base, filter=name, M=m) for name in sorted(filters) for m in sorted(particle_grid)
+    ]
+    return [(cfg, run_mc(cfg, workers=workers)[1]) for cfg in cells]
 
 
 def write_run_csv(path, cfg: ScenarioConfig, records: list[RunRecord]) -> None:

@@ -85,18 +85,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kappa=args.kappa,
         horizon=args.horizon,
     )
-    for name in args.filters:
-        for m in args.particles:
-            ScenarioConfig(
-                scenario=args.scenario,
-                filter=name,
-                M=m,
-                realizations=args.realizations,
-                seed=args.seed,
-                lam=args.lam,
-                kappa=args.kappa,
-                horizon=args.horizon,
-            )
     rows = sweep(base, args.particles, args.filters, workers=args.workers)
     write_summary_csv(args.out, rows)
     for cfg, summary in rows:

@@ -83,19 +83,6 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Kernel Gram matrix along with the shapes of the ensembles behind it."""
-
-    values: np.ndarray
-    left_shape: tuple[int, int]
-    right_shape: tuple[int, int]
-
-    @property
-    def is_square(self) -> bool:
-        return self.values.shape[0] == self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class GaussianBelief:
     """Gaussian summary of a state belief in data space."""
 
@@ -168,7 +155,7 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
     return replace(spec, sigma=med if med > 0 else 1.0)
 
 
-def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> GramMatrix:
+def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     """Assemble the Gram matrix with entries k(A.col(i), B.col(j)).
 
     A Gram of an ensemble against itself is symmetrized exactly.
@@ -188,17 +175,17 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> GramMatrix:
             values = (values + spec.c) ** 4
     if A is B or (A.count == B.count and np.array_equal(A.particles, B.particles)):
         values = (values + values.T) / 2.0
-    return GramMatrix(values, (A.dim, A.count), (B.dim, B.count))
+    return values
 
 
-def ridge_solve(K, lam: float, B: np.ndarray, name: str = "gram matrix") -> np.ndarray:
+def ridge_solve(K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matrix") -> np.ndarray:
     """Solve (K + lam*I) X = B through a Cholesky factorization.
 
     A failed factorization is retried with a jitter of 1e-10*trace(K)/M
     added to lam, escalated tenfold up to three times, before raising
     :class:`SingularMatrixError`.
     """
-    values = K.values if isinstance(K, GramMatrix) else np.asarray(K, dtype=float)
+    values = np.asarray(K, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("K must be square")
     if not lam >= 0:

@@ -90,10 +90,6 @@ class TestAkkfConfig:
         with pytest.raises(ValueError, match="kappa"):
             AkkfConfig(KernelSpec("gaussian"), kappa=-1.0)
 
-    def test_nonzero_likelihood_ridge_rejected(self):
-        with pytest.raises(ValueError, match="lambda_K"):
-            AkkfConfig(KernelSpec("gaussian"), lambda_K=1e-3)
-
 
 class TestGainUpdate:
     def test_matches_inverse_oracle(self):
@@ -181,11 +177,8 @@ class TestInit:
         state = init(model, cfg, np.random.default_rng(0))
         assert state.n == 0
         assert state.particles.count == 6
-        assert_allclose(state.w_plus, np.full(6, 1.0 / 6.0))
-        assert np.array_equal(state.w_minus, state.w_plus)
-        assert np.array_equal(state.w_tilde, state.w_plus)
-        assert_allclose(state.S_plus, np.eye(6) / 6.0)
-        assert np.array_equal(state.Gamma, np.eye(6))
+        assert_allclose(state.w, np.full(6, 1.0 / 6.0))
+        assert_allclose(state.S, np.eye(6) / 6.0)
         assert np.array_equal(state.proposal_particles.particles, state.particles.particles)
 
     def test_deterministic_prior_gives_equal_particles(self):
@@ -202,8 +195,8 @@ class TestPredict:
         rng = np.random.default_rng(4)
         state = init(model, cfg, rng)
         proposals = state.proposal_particles.particles.copy()
-        S_tilde = state.S_tilde.copy()
-        w_tilde = state.w_tilde.copy()
+        S_tilde = state.S.copy()
+        w_tilde = state.w.copy()
 
         rng_run = np.random.default_rng(10)
         rng_oracle = np.random.default_rng(10)
@@ -212,24 +205,25 @@ class TestPredict:
         noise = model.sample_process_noise(rng_oracle, 5)
         expected_particles = proposals + noise
         K = gram(KernelSpec("gaussian", sigma=1.5), Ensemble(proposals), Ensemble(proposals))
-        lam = cfg.lambda_tilde * float(np.mean(np.diag(K.values)))
-        T = np.linalg.inv(K.values + lam * np.eye(5)) @ K.values
+        lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
+        T = np.linalg.inv(K + lam * np.eye(5)) @ K
         R = T - np.eye(5)
         assert state.n == 1
         assert_allclose(state.particles.particles, expected_particles, rtol=1e-12)
-        assert np.array_equal(state.w_minus, w_tilde)
-        assert_allclose(state.S_minus, S_tilde + R @ R.T / 5.0, rtol=1e-8, atol=1e-12)
+        assert np.array_equal(state.w, w_tilde)
+        assert_allclose(state.S, S_tilde + R @ R.T / 5.0, rtol=1e-8, atol=1e-12)
 
     def test_tiny_ridge_adds_no_spread(self):
         # T approaches the identity as the ridge vanishes, so the propagation
-        # residual V goes to zero and S_minus collapses onto S_tilde.
+        # residual V goes to zero and the predicted S collapses onto the
+        # rebased one.
         model = identity_model()
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=6, lambda_tilde=1e-13)
         rng = np.random.default_rng(5)
         state = init(model, cfg, rng)
-        S_tilde = state.S_tilde.copy()
+        S_tilde = state.S.copy()
         predict(state, model, rng)
-        assert_allclose(state.S_minus, S_tilde, atol=1e-8)
+        assert_allclose(state.S, S_tilde, atol=1e-8)
 
     def test_nonfinite_particle_raises(self):
         model = identity_model()
@@ -259,8 +253,8 @@ class TestUpdate:
         rng = np.random.default_rng(7)
         state = init(model, cfg, rng)
         predict(state, model, rng)
-        w_minus = state.w_minus.copy()
-        S_minus = state.S_minus.copy()
+        w_minus = state.w.copy()
+        S_minus = state.S.copy()
         particles = state.particles.particles.copy()
 
         rng_run = np.random.default_rng(20)
@@ -271,13 +265,13 @@ class TestUpdate:
         noise = model.sample_measurement_noise(rng_oracle, 5)
         obs = particles + noise
         spec = KernelSpec("gaussian", sigma=0.8)
-        G = gram(spec, Ensemble(obs), Ensemble(obs)).values
-        g = gram(spec, Ensemble(obs), Ensemble(y.reshape(-1, 1))).values[:, 0]
+        G = gram(spec, Ensemble(obs), Ensemble(obs))
+        g = gram(spec, Ensemble(obs), Ensemble(y.reshape(-1, 1)))[:, 0]
         Q = S_minus @ np.linalg.inv(G @ S_minus + cfg.kappa * np.eye(5))
         w_exp = w_minus + Q @ (g - G @ w_minus)
         S_exp = S_minus - Q @ G @ S_minus
-        assert_allclose(state.w_plus, w_exp, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.S_plus, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.w, w_exp, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
 
     def test_bandwidth_resolved_on_observation_particles(self):
         # with a median-resolved observation kernel, two runs whose
@@ -297,9 +291,9 @@ class TestEstimate:
         cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=3)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(9))
-        state.w_plus = np.array([0.5, 0.3, 0.2])
-        belief = estimate(state, cfg)
-        oracle = extract_moments_poly(cfg.state_kernel, state.particles, state.w_plus)
+        state.w = np.array([0.5, 0.3, 0.2])
+        belief = estimate(state)
+        oracle = extract_moments_poly(cfg.state_kernel, state.particles, state.w)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
 
@@ -307,12 +301,27 @@ class TestEstimate:
         cfg = AkkfConfig(KernelSpec("gaussian"), M=3)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(10))
-        state.w_plus = np.array([0.6, 0.3, 0.1])
-        state.S_plus = np.diag([0.02, 0.01, 0.03])
-        belief = estimate(state, cfg)
-        oracle = project_moments(state.particles, state.w_plus, state.S_plus)
+        state.w = np.array([0.6, 0.3, 0.1])
+        state.S = np.diag([0.02, 0.01, 0.03])
+        belief = estimate(state)
+        oracle = project_moments(state.particles, state.w, state.S)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
+
+    @pytest.mark.parametrize(
+        "kind, poisoned", [("quartic", "w"), ("gaussian", "w"), ("gaussian", "S")]
+    )
+    def test_nonfinite_moments_diverge(self, kind, poisoned):
+        cfg = AkkfConfig(KernelSpec(kind), M=3)
+        state = init(identity_model(), cfg, np.random.default_rng(10))
+        state.n = 4
+        if poisoned == "w":
+            state.w = np.array([0.6, np.nan, 0.1])
+        else:
+            state.S = np.full((3, 3), np.nan)
+        with pytest.raises(FilterDivergedError, match="belief moments") as err:
+            estimate(state)
+        assert err.value.time_index == 4
 
 
 class TestPropose:
@@ -321,21 +330,25 @@ class TestPropose:
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.2), M=4, lambda_tilde=5e-3)
         rng = np.random.default_rng(11)
         state = init(model, cfg, rng)
-        state.w_plus = np.array([0.4, 0.3, 0.2, 0.1])
+        state.w = np.array([0.4, 0.3, 0.2, 0.1])
+        w_plus = state.w.copy()
+        S_plus = state.S.copy()
         preset = np.array([[0.5, -0.2, 1.1, 0.7]])
         monkeypatch.setattr(GaussianBelief, "sample", lambda self, rng, count: preset)
-        propose(state, cfg, rng)
+        propose(state, estimate(state), rng)
 
         spec = KernelSpec("gaussian", sigma=1.2)
-        K_pp = gram(spec, Ensemble(preset), Ensemble(preset)).values
-        K_px = gram(spec, Ensemble(preset), state.particles).values
+        K_pp = gram(spec, Ensemble(preset), Ensemble(preset))
+        K_px = gram(spec, Ensemble(preset), state.particles)
         lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
-        Gamma = np.linalg.inv(K_pp + lam * np.eye(4)) @ K_px
-        S_exp = Gamma @ state.S_plus @ Gamma.T
+        inv = np.linalg.inv(K_pp + lam * np.eye(4))
+        Gamma = inv @ K_px
+        R = inv @ K_pp - np.eye(4)
+        S_exp = Gamma @ S_plus @ Gamma.T
         assert np.array_equal(state.proposal_particles.particles, preset)
-        assert_allclose(state.Gamma, Gamma, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.w_tilde, Gamma @ state.w_plus, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.S_tilde, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.w, Gamma @ w_plus, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.V, R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
 
     def test_identity_rebasis_preserves_moments(self, monkeypatch):
         # when the proposal basis equals the current basis and the ridge is
@@ -344,20 +357,22 @@ class TestPropose:
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=5, lambda_tilde=1e-12)
         rng = np.random.default_rng(12)
         state = init(model, cfg, rng)
-        state.w_plus = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        state.w = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        w_before = state.w.copy()
+        S_before = state.S.copy()
         monkeypatch.setattr(
             GaussianBelief, "sample", lambda self, rng, count: state.particles.particles
         )
-        mean_before = state.particles.particles @ state.w_plus
-        propose(state, cfg, rng)
-        assert_allclose(state.Gamma, np.eye(5), atol=1e-6)
-        assert_allclose(state.w_tilde, state.w_plus, atol=1e-6)
-        assert_allclose(state.proposal_particles.particles @ state.w_tilde, mean_before, atol=1e-6)
+        mean_before = state.particles.particles @ state.w
+        propose(state, estimate(state), rng)
+        assert_allclose(state.S, S_before, atol=1e-6)
+        assert_allclose(state.w, w_before, atol=1e-6)
+        assert_allclose(state.proposal_particles.particles @ state.w, mean_before, atol=1e-6)
 
     def test_gram_scale_is_mean_diagonal(self):
         E = Ensemble(np.array([[1.0, 2.0, 3.0]]))
         K = gram(KernelSpec("quartic", c=0.5), E, E)
-        assert _gram_scale(K) == pytest.approx(float(np.mean(np.diag(K.values))))
+        assert _gram_scale(K) == pytest.approx(float(np.mean(np.diag(K))))
 
 
 class TestStep:
@@ -388,11 +403,18 @@ class TestStep:
         rng = np.random.default_rng(14)
         traj = simulate(model, 15, rng)
         state = init(model, cfg, rng)
+
+        def assert_symmetric(S):
+            scale = 1.0 + np.abs(S).max()
+            assert np.abs(S - S.T).max() <= 1e-12 * scale
+
         for n in range(15):
-            state, _ = step(state, traj.observations[:, n], model, cfg, rng)
-            for S in (state.S_minus, state.S_plus, state.S_tilde):
-                scale = 1.0 + np.abs(S).max()
-                assert np.abs(S - S.T).max() <= 1e-12 * scale
+            predict(state, model, rng)
+            assert_symmetric(state.S)
+            update(state, traj.observations[:, n], model, rng)
+            assert_symmetric(state.S)
+            propose(state, estimate(state), rng)
+            assert_symmetric(state.S)
 
     def test_update_contracts_weight_covariance_trace(self):
         # conditioning on an observation should not inflate the weight
@@ -410,11 +432,10 @@ class TestStep:
         state = init(model, cfg, rng)
         for n in range(30):
             predict(state, model, rng)
-            trace_minus = np.trace(state.S_minus)
+            trace_minus = np.trace(state.S)
             update(state, traj.observations[:, n], model, rng)
-            assert np.trace(state.S_plus) <= trace_minus + 1e-8 * abs(trace_minus)
-            estimate(state, cfg)
-            propose(state, cfg, rng)
+            assert np.trace(state.S) <= trace_minus + 1e-8 * abs(trace_minus)
+            propose(state, estimate(state), rng)
 
     def test_weights_can_go_negative(self):
         # kernel weight vectors are not probability weights; a canned
@@ -432,8 +453,10 @@ class TestStep:
         state = init(model, cfg, rng)
         min_weight = np.inf
         for n in range(10):
-            state, _ = step(state, traj.observations[:, n], model, cfg, rng)
-            min_weight = min(min_weight, state.w_plus.min())
+            predict(state, model, rng)
+            update(state, traj.observations[:, n], model, rng)
+            min_weight = min(min_weight, state.w.min())
+            propose(state, estimate(state), rng)
         assert min_weight < 0.0
 
     def test_tracks_identity_model(self):
@@ -461,7 +484,12 @@ class TestStep:
         )
         rng = np.random.default_rng(7)
         state = init(model, cfg, rng)
-        state, belief = step(state, np.array([1.5]), model, cfg, rng)
+        predict(state, model, rng)
+        update(state, np.array([1.5]), model, rng)
+        w_plus = state.w.copy()
+        S_plus = state.S.copy()
+        belief = estimate(state)
+        propose(state, belief, rng)
         assert_allclose(
             state.particles.particles[0],
             [
@@ -474,7 +502,7 @@ class TestStep:
             rtol=1e-12,
         )
         assert_allclose(
-            state.w_plus,
+            w_plus,
             [
                 -0.4620679811982626,
                 0.0846931608684845,
@@ -486,15 +514,20 @@ class TestStep:
         )
         assert_allclose(belief.mean, [1.3075591769134414], rtol=1e-10)
         assert_allclose(belief.cov, [[6.401920084787043]], rtol=1e-10)
-        assert np.trace(state.S_plus) == pytest.approx(0.7901256560882788, rel=1e-10)
+        assert np.trace(S_plus) == pytest.approx(0.7901256560882788, rel=1e-10)
 
     def test_step_returns_post_update_belief(self):
         model = build_model("ungm")
         cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=6)
+        y = np.array([0.5])
         rng = np.random.default_rng(15)
         state = init(model, cfg, rng)
-        state, belief = step(state, np.array([0.5]), model, cfg, rng)
-        oracle = extract_moments_poly(cfg.state_kernel, state.particles, state.w_plus)
+        state, belief = step(state, y, model, rng)
+        twin_rng = np.random.default_rng(15)
+        twin = init(model, cfg, twin_rng)
+        predict(twin, model, twin_rng)
+        update(twin, y, model, twin_rng)
+        oracle = estimate(twin)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
 
@@ -527,18 +560,22 @@ class TestMultistepOracle:
         rng_oracle = np.random.default_rng(21)
         prop = state.proposal_particles.particles.copy()
         cur = state.particles.particles.copy()
-        w_t = state.w_tilde.copy()
-        S_t = state.S_tilde.copy()
+        w_t = state.w.copy()
+        S_t = state.S.copy()
         m = cfg.M
 
         for n in range(3):
-            step(state, ys[:, n], model, cfg, rng_run)
+            predict(state, model, rng_run)
+            update(state, ys[:, n], model, rng_run)
+            run_w_plus = state.w.copy()
+            run_S_plus = state.S.copy()
+            propose(state, estimate(state), rng_run)
 
             noise = model.sample_process_noise(rng_oracle, m)
             cur = np.empty_like(prop)
             for i in range(m):
                 cur[:, i] = model.process(prop[:, i], noise[:, i], n + 1)
-            K = gram(spec_x, Ensemble(prop), Ensemble(prop)).values
+            K = gram(spec_x, Ensemble(prop), Ensemble(prop))
             lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
             T = np.linalg.inv(K + lam * np.eye(m)) @ K
             R = T - np.eye(m)
@@ -549,8 +586,8 @@ class TestMultistepOracle:
             obs = np.empty((1, m))
             for i in range(m):
                 obs[:, i] = model.measure(cur[:, i], v[:, i])
-            G = gram(spec_y, Ensemble(obs), Ensemble(obs)).values
-            g = gram(spec_y, Ensemble(obs), Ensemble(ys[:, n].reshape(-1, 1))).values[:, 0]
+            G = gram(spec_y, Ensemble(obs), Ensemble(obs))
+            g = gram(spec_y, Ensemble(obs), Ensemble(ys[:, n].reshape(-1, 1)))[:, 0]
             Q = S_minus @ np.linalg.inv(G @ S_minus + cfg.kappa * np.eye(m))
             w_plus = w_minus + Q @ (g - G @ w_minus)
             S_plus = S_minus - Q @ G @ S_minus
@@ -558,8 +595,8 @@ class TestMultistepOracle:
 
             belief = extract_moments_poly(spec_x, Ensemble(cur), w_plus)
             prop = belief.sample(rng_oracle, m)
-            K_pp = gram(spec_x, Ensemble(prop), Ensemble(prop)).values
-            K_px = gram(spec_x, Ensemble(prop), Ensemble(cur)).values
+            K_pp = gram(spec_x, Ensemble(prop), Ensemble(prop))
+            K_px = gram(spec_x, Ensemble(prop), Ensemble(cur))
             lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
             Gamma = np.linalg.inv(K_pp + lam * np.eye(m)) @ K_px
             w_t = Gamma @ w_plus
@@ -567,8 +604,8 @@ class TestMultistepOracle:
             S_t = (S_t + S_t.T) / 2.0
 
             assert_allclose(state.particles.particles, cur, rtol=1e-10)
-            assert_allclose(state.w_plus, w_plus, rtol=1e-7, atol=1e-10)
-            assert_allclose(state.S_plus, S_plus, rtol=1e-7, atol=1e-10)
+            assert_allclose(run_w_plus, w_plus, rtol=1e-7, atol=1e-10)
+            assert_allclose(run_S_plus, S_plus, rtol=1e-7, atol=1e-10)
             assert_allclose(state.proposal_particles.particles, prop, rtol=1e-7, atol=1e-10)
-            assert_allclose(state.w_tilde, w_t, rtol=1e-6, atol=1e-9)
-            assert_allclose(state.S_tilde, S_t, rtol=1e-6, atol=1e-9)
+            assert_allclose(state.w, w_t, rtol=1e-6, atol=1e-9)
+            assert_allclose(state.S, S_t, rtol=1e-6, atol=1e-9)

@@ -316,14 +316,14 @@ class TestKkrFit:
         spec_y = KernelSpec("gaussian", sigma=0.9)
         lam = 0.05
         fitted = kkr_fit((pred, succ, obs), lam, state_kernel=spec_x, obs_kernel=spec_y)
-        K_pp = gram(spec_x, Ensemble(pred), Ensemble(pred)).values
-        K_px = gram(spec_x, Ensemble(pred), Ensemble(succ)).values
+        K_pp = gram(spec_x, Ensemble(pred), Ensemble(pred))
+        K_px = gram(spec_x, Ensemble(pred), Ensemble(succ))
         inv = np.linalg.inv(K_pp + lam * np.eye(4))
         T = inv @ K_px
         R = inv @ K_pp - np.eye(4)
         assert_allclose(fitted.T, T, rtol=1e-9, atol=1e-12)
         assert_allclose(fitted.V, R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
-        assert_allclose(fitted.G_yy, gram(spec_y, Ensemble(obs), Ensemble(obs)).values)
+        assert_allclose(fitted.G_yy, gram(spec_y, Ensemble(obs), Ensemble(obs)))
 
     def test_v_is_positive_semidefinite(self):
         rng = np.random.default_rng(15)
@@ -376,7 +376,7 @@ class TestKkrStep:
         w_minus = fitted.T @ w
         S_minus = fitted.T @ S @ fitted.T.T + fitted.V
         S_minus = (S_minus + S_minus.T) / 2.0
-        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1))).values[:, 0]
+        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1)))[:, 0]
         Q = S_minus @ np.linalg.inv(fitted.G_yy @ S_minus + fitted.kappa * np.eye(3))
         w_exp = w_minus + Q @ (g - fitted.G_yy @ w_minus)
         S_exp = S_minus - Q @ fitted.G_yy @ S_minus
@@ -396,7 +396,7 @@ class TestKkrStep:
         w_minus = fitted.T @ w
         S_minus = fitted.T @ S @ fitted.T.T + fitted.V
         S_minus = (S_minus + S_minus.T) / 2.0
-        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1))).values[:, 0]
+        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1)))[:, 0]
         w_ref, S_ref = gain_update(w_minus, S_minus, fitted.G_yy, g, fitted.kappa)
         assert np.array_equal(w_plus, w_ref)
         assert np.array_equal(S_plus, S_ref)

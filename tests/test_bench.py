@@ -141,6 +141,44 @@ class TestRunOne:
         rec = run_one(ScenarioConfig("ungm", "pf", 10, 1, 0), 0)
         assert rec.diverged
 
+    @pytest.mark.parametrize(
+        "scenario, filt, poisoned",
+        [("bot-cv", "akkf-quartic", "w"), ("bot-ct", "akkf-gaussian", "S")],
+    )
+    def test_nonfinite_belief_recorded_as_divergence(self, monkeypatch, tmp_path, scenario, filt, poisoned):
+        import kkbench.akkf as akkf_mod
+
+        real_gain_update = akkf_mod.gain_update
+
+        def nan_gain_update(*args):
+            w, S = real_gain_update(*args)
+            if poisoned == "w":
+                w = w.copy()
+                w[0] = np.nan
+            else:
+                S = S.copy()
+                S[0, 0] = np.nan
+            return w, S
+
+        monkeypatch.setattr(akkf_mod, "gain_update", nan_gain_update)
+        cfg = ScenarioConfig(scenario, filt, 5, 1, 0, horizon=3)
+        rec = run_one(cfg, 0)
+        assert rec.diverged
+        assert rec.estimates is None
+        rc = main(
+            [
+                "run",
+                "--scenario", scenario,
+                "--filter", filt,
+                "--particles", "5",
+                "--realizations", "1",
+                "--seed", "0",
+                "--horizon", "3",
+                "--out", str(tmp_path / "run.csv"),
+            ]
+        )
+        assert rc == 3
+
 
 class TestSummarize:
     def test_moments_over_clean_runs(self):
@@ -209,6 +247,16 @@ class TestSweep:
             sweep(base, [], ["pf"])
         with pytest.raises(ValueError, match="nonempty"):
             sweep(base, [10], [])
+
+    def test_every_cell_validated_before_any_runs(self, monkeypatch):
+        import kkbench.bench as bench_mod
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_mc", lambda cfg, workers=1: calls.append(cfg))
+        base = ScenarioConfig("ungm", "pf", 10, 1, 0)
+        with pytest.raises(ValueError, match="zz"):
+            sweep(base, [10], ["pf", "zz"])
+        assert calls == []
 
 
 class TestCsvRoundtrip:

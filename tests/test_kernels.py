@@ -91,18 +91,18 @@ class TestGram:
     def test_linear_identity_columns(self):
         E = Ensemble(np.eye(2))
         K = gram(KernelSpec("linear"), E, E)
-        assert_array_equal(K.values, np.eye(2))
+        assert_array_equal(K, np.eye(2))
 
     def test_gaussian_self_diagonal_ones(self):
         rng = np.random.default_rng(0)
         E = random_ensemble(rng, 3, 6)
         K = gram(KernelSpec("gaussian", sigma=0.8), E, E)
-        assert_allclose(np.diag(K.values), np.ones(6), rtol=1e-14)
+        assert_allclose(np.diag(K), np.ones(6), rtol=1e-14)
 
     def test_quadratic_scalar_example(self):
         E = Ensemble(np.array([[1.0, 2.0]]))
         K = gram(KernelSpec("quadratic", c=1.0), E, E)
-        assert_array_equal(K.values, np.array([[4.0, 9.0], [9.0, 25.0]]))
+        assert_array_equal(K, np.array([[4.0, 9.0], [9.0, 25.0]]))
 
     def test_entries_match_kernel_eval(self):
         # matrix-product and single-pair evaluation orders differ in the last
@@ -116,7 +116,7 @@ class TestGram:
             for i in range(4):
                 for j in range(3):
                     assert_allclose(
-                        K.values[i, j], kernel_eval(spec, A.col(i), B.col(j)), rtol=1e-12
+                        K[i, j], kernel_eval(spec, A.col(i), B.col(j)), rtol=1e-12
                     )
 
     def test_dimension_mismatch(self):
@@ -127,10 +127,7 @@ class TestGram:
     def test_shapes_recorded(self):
         rng = np.random.default_rng(3)
         K = gram(KernelSpec("linear"), random_ensemble(rng, 2, 5), random_ensemble(rng, 2, 3))
-        assert K.values.shape == (5, 3)
-        assert K.left_shape == (2, 5)
-        assert K.right_shape == (2, 3)
-        assert not K.is_square
+        assert K.shape == (5, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,7 +140,7 @@ class TestGram:
 def test_self_gram_symmetric_and_psd(kind, seed, d, m):
     rng = np.random.default_rng(seed)
     E = random_ensemble(rng, d, m, scale=3.0)
-    K = gram(make_spec(kind), E, E).values
+    K = gram(make_spec(kind), E, E)
     bound = 1e-12 * (1.0 + np.abs(K).max())
     assert np.abs(K - K.T).max() <= bound
     eigenvalues = np.linalg.eigvalsh(K)
@@ -192,12 +189,6 @@ class TestRidgeSolve:
         K = np.array([[2.0, 1.0], [1.0, 2.0]])
         got = ridge_solve(K, 0.5, np.eye(2))
         assert_allclose(got, np.linalg.inv(K + 0.5 * np.eye(2)), rtol=1e-13)
-
-    def test_accepts_gram_matrix(self):
-        E = Ensemble(np.array([[1.0, 2.0]]))
-        K = gram(KernelSpec("quadratic", c=1.0), E, E)
-        got = ridge_solve(K, 1e-3, np.eye(2))
-        assert_allclose(got, np.linalg.inv(K.values + 1e-3 * np.eye(2)), rtol=1e-10)
 
     def test_singular_after_escalation(self):
         with pytest.raises(SingularMatrixError, match="proposal"):
