@@ -164,11 +164,8 @@ def predict(state: AkkfState, model: StateSpaceModel, rng: np.random.Generator) 
     """
     n = state.n + 1
     proposals = state.proposal_particles
-    m = proposals.count
-    noise = model.sample_process_noise(rng, m)
-    columns = np.empty((model.state_dim, m))
-    for i in range(m):
-        columns[:, i] = model.process(proposals.particles[:, i], noise[:, i], n)
+    noise = model.sample_process_noise(rng, proposals.count)
+    columns = model.process(proposals.particles, noise, n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "propagated particle")
     state.particles = Ensemble(columns)
@@ -187,11 +184,8 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     """
     cfg = state.config
     particles = state.particles
-    m = particles.count
-    noise = model.sample_measurement_noise(rng, m)
-    columns = np.empty((model.obs_dim, m))
-    for i in range(m):
-        columns[:, i] = model.measure(particles.particles[:, i], noise[:, i])
+    noise = model.sample_measurement_noise(rng, particles.count)
+    columns = model.measure(particles.particles, noise)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(state.n, "observation particle")
     obs = Ensemble(columns)

@@ -93,17 +93,10 @@ def pf_step(
     m = state.particles.count
     n = state.n + 1
     noise = model.sample_process_noise(rng, m)
-    source = state.particles.particles
-    columns = np.empty((model.state_dim, m))
-    for i in range(m):
-        columns[:, i] = model.process(source[:, i], noise[:, i], n)
+    columns = model.process(state.particles.particles, noise, n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
-    y_val = np.asarray(y_n, dtype=float).ravel()
-    y_scalar = y_val[0] if model.obs_dim == 1 else y_val
-    log_lik = np.empty(m)
-    for i in range(m):
-        log_lik[i] = model.measurement_log_likelihood(y_scalar, columns[:, i])
+    log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     with np.errstate(divide="ignore"):
         log_w = np.log(state.weights) + log_lik
     peak = np.max(log_w)
@@ -133,17 +126,10 @@ def gpf_step(
     step being produced.
     """
     draws = belief.sample(rng, M)
-    noise = model.sample_process_noise(rng, M)
-    columns = np.empty((model.state_dim, M))
-    for i in range(M):
-        columns[:, i] = model.process(draws[:, i], noise[:, i], n)
+    columns = model.process(draws, model.sample_process_noise(rng, M), n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
-    y_val = np.asarray(y_n, dtype=float).ravel()
-    y_scalar = y_val[0] if model.obs_dim == 1 else y_val
-    log_lik = np.empty(M)
-    for i in range(M):
-        log_lik[i] = model.measurement_log_likelihood(y_scalar, columns[:, i])
+    log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     peak = np.max(log_lik)
     if not np.isfinite(peak):
         raise DegenerateWeightsError("all particle likelihoods vanished")
@@ -186,23 +172,19 @@ def ukf_step(state: UkfState, y_n, model: StateSpaceModel) -> UkfState:
     """
     d = model.state_dim
     n = state.n + 1
-    zero_u = np.zeros(model.process_noise_dim)
-    zero_v = np.zeros(model.measurement_noise_dim)
+    zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
+    zero_v = np.zeros((model.measurement_noise_dim, 2 * d + 1))
 
     points, lam = _sigma_points(state.belief, state.alpha, state.kappa)
     w_mean, w_cov = _sigma_weights(d, lam, state.alpha, state.beta)
-    propagated = np.empty_like(points)
-    for i in range(points.shape[1]):
-        propagated[:, i] = model.process(points[:, i], zero_u, n)
+    propagated = model.process(points, zero_u, n)
     mean_pred = propagated @ w_mean
     centered = propagated - mean_pred[:, None]
     cov_pred = (centered * w_cov) @ centered.T + model.process_noise_cov(state.belief.mean, n)
     predicted = GaussianBelief(mean_pred, psd_repair(cov_pred))
 
     points2, lam2 = _sigma_points(predicted, state.alpha, state.kappa)
-    obs = np.empty((model.obs_dim, points2.shape[1]))
-    for i in range(points2.shape[1]):
-        obs[:, i] = model.measure(points2[:, i], zero_v)
+    obs = model.measure(points2, zero_v)
     y_mean = obs @ w_mean
     dy = obs - y_mean[:, None]
     if model.wrap_residual is not None:

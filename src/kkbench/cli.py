@@ -12,12 +12,18 @@ import sys
 from .bench import ScenarioConfig, run_mc, sweep, write_run_csv, write_summary_csv
 
 
+def _nonempty(items: list) -> list:
+    if not items:
+        raise argparse.ArgumentTypeError("expected a nonempty comma-separated list")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _nonempty([int(part) for part in text.split(",") if part])
 
 
 def _str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    return _nonempty([part.strip() for part in text.split(",") if part.strip()])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,10 +81,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # the base is the grid's first cell, so it fails validation only when
+    # sweep would reject that cell anyway
     base = ScenarioConfig(
         scenario=args.scenario,
         filter=args.filters[0],
-        M=max(2, max(args.particles)),
+        M=args.particles[0],
         realizations=args.realizations,
         seed=args.seed,
         lam=args.lam,

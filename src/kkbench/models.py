@@ -35,17 +35,20 @@ class SimulationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Discrete-time state-space model.
+    """Discrete-time state-space model whose callbacks take whole ensembles.
 
-    ``process(x, noise, n)`` advances one step, where ``n`` is the 1-based
-    index of the step being produced, and ``measure(x, noise)`` forms an
-    observation.  Noise vectors come from the paired samplers; for models
-    with state-dependent noise the sampler returns unit draws that
-    ``process`` colors internally.  ``measurement_log_likelihood(y, x)``
-    accepts a single state column or a d x M batch (returning a length-M
-    vector) and must agree with the law of ``sample_measurement_noise``.
-    ``prior_mean``/``prior_cov`` are the moments of the initial-state prior
-    used by the Gaussian-belief filters.
+    ``process(X, N, n)`` advances a d x M state batch one step with a
+    matching noise batch and returns d x M, where ``n`` is the 1-based index
+    of the step being produced; ``measure(X, V)`` returns the d_y x M
+    observations.  ``sample_process_noise(rng, M)`` and
+    ``sample_measurement_noise(rng, M)`` draw those batches, one column per
+    particle; for models with state-dependent noise the sampler returns unit
+    draws that ``process`` colors internally.
+    ``measurement_log_likelihood(y, X)`` takes the length-d_y observation
+    and returns the length-M vector of log-densities, which must agree with
+    the law of ``sample_measurement_noise``.  ``sample_prior(rng)`` draws
+    one state.  ``prior_mean``/``prior_cov`` are the moments of the
+    initial-state prior used by the Gaussian-belief filters.
     """
 
     name: str
@@ -55,9 +58,9 @@ class StateSpaceModel:
     measurement_noise_dim: int
     process: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sample_process_noise: Callable[..., np.ndarray]
-    sample_measurement_noise: Callable[..., np.ndarray]
-    measurement_log_likelihood: Callable[[float, np.ndarray], np.ndarray]
+    sample_process_noise: Callable[[np.random.Generator, int], np.ndarray]
+    sample_measurement_noise: Callable[[np.random.Generator, int], np.ndarray]
+    measurement_log_likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sample_prior: Callable[[np.random.Generator], np.ndarray]
     prior_mean: np.ndarray
     prior_cov: np.ndarray
@@ -90,15 +93,11 @@ def wrap_angle(delta):
     return math.pi - np.mod(math.pi - np.asarray(delta), 2.0 * math.pi)
 
 
-def _wrap_float(delta: float) -> float:
-    return math.pi - (math.pi - delta) % (2.0 * math.pi)
-
-
-def bearing(xi, eta) -> float:
-    """Four-quadrant bearing of a planar position."""
-    if xi == 0.0 and eta == 0.0:
+def bearing(xi, eta):
+    """Four-quadrant bearing of planar positions, elementwise."""
+    if np.any((xi == 0.0) & (eta == 0.0)):
         raise ValueError("bearing undefined at the origin")
-    return math.atan2(eta, xi)
+    return np.arctan2(eta, xi)
 
 
 def ungm(horizon: int = 100) -> StateSpaceModel:
@@ -109,19 +108,19 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
     initial state x_0 = 0.1.
     """
 
-    def process(x, noise, n):
-        x0 = x[0]
+    def process(X, N, n):
+        x0 = X[0]
         drift = 0.5 * x0 + 25.0 * x0 / (1.0 + x0 * x0) + 8.0 * math.cos(1.2 * (n - 1))
-        return np.array([drift + noise[0]])
+        return (drift + N[0])[None, :]
 
-    def measure(x, noise):
-        return np.array([x[0] * x[0] / 20.0 + noise[0]])
+    def measure(X, V):
+        return (X[0] * X[0] / 20.0 + V[0])[None, :]
 
-    def sample_process_noise(rng, count=None):
-        return rng.standard_normal((1,) if count is None else (1, count))
+    def sample_process_noise(rng, count):
+        return rng.standard_normal((1, count))
 
-    def log_likelihood(y, x):
-        delta = y - x[0] * x[0] / 20.0
+    def log_likelihood(y, X):
+        delta = y[0] - X[0] * X[0] / 20.0
         return -0.5 * delta * delta - 0.5 * LOG_2PI
 
     return StateSpaceModel(
@@ -192,21 +191,19 @@ def _bearing_log_likelihood(sigma: float):
     norm = -math.log(sigma) - 0.5 * LOG_2PI
     inv_two_var = 0.5 / (sigma * sigma)
 
-    def log_likelihood(y, x):
-        if x.ndim == 1:
-            delta = _wrap_float(y - bearing(x[0], x[2]))
-            return -inv_two_var * delta * delta + norm
-        delta = wrap_angle(y - np.arctan2(x[2], x[0]))
+    def log_likelihood(y, X):
+        delta = wrap_angle(y[0] - bearing(X[0], X[2]))
         return -inv_two_var * delta * delta + norm
 
     return log_likelihood
 
 
-def _bearing_measure(sigma: float):
-    def measure(x, noise):
-        return np.array([bearing(x[0], x[2]) + noise[0]])
+def _bearing_measure(X, V):
+    return (bearing(X[0], X[2]) + V[0])[None, :]
 
-    return measure
+
+def _sample_bearing_noise(rng, count):
+    return BOT_MEASUREMENT_STD * rng.standard_normal((1, count))
 
 
 def bot_cv(horizon: int = 30) -> StateSpaceModel:
@@ -226,16 +223,11 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
     prior_root = _eigen_root(prior_cov)
     q_cov = BOT_PROCESS_STD**2 * (CV_G @ CV_G.T)
 
-    def process(x, noise, n):
-        return CV_F @ x + CV_G @ noise
+    def process(X, N, n):
+        return CV_F @ X + CV_G @ N
 
-    def sample_process_noise(rng, count=None):
-        shape = (2,) if count is None else (2, count)
-        return BOT_PROCESS_STD * rng.standard_normal(shape)
-
-    def sample_measurement_noise(rng, count=None):
-        shape = (1,) if count is None else (1, count)
-        return BOT_MEASUREMENT_STD * rng.standard_normal(shape)
+    def sample_process_noise(rng, count):
+        return BOT_PROCESS_STD * rng.standard_normal((2, count))
 
     def sample_prior(rng):
         return BOT_PRIOR_MEAN + prior_root @ rng.standard_normal(4)
@@ -247,9 +239,9 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
         process_noise_dim=2,
         measurement_noise_dim=1,
         process=process,
-        measure=_bearing_measure(BOT_MEASUREMENT_STD),
+        measure=_bearing_measure,
         sample_process_noise=sample_process_noise,
-        sample_measurement_noise=sample_measurement_noise,
+        sample_measurement_noise=_sample_bearing_noise,
         measurement_log_likelihood=_bearing_log_likelihood(BOT_MEASUREMENT_STD),
         sample_prior=sample_prior,
         prior_mean=BOT_PRIOR_MEAN.copy(),
@@ -353,22 +345,20 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
     prior_cov[:4, :4] = prior_cov4
     prior_cov[4, 4] = rate_var
 
-    def process(x, noise, n):
-        omega = x[4]
+    def process(X, N, n):
+        omega = X[4]
         base = omega / 3.0 if n == switch_step else omega
-        omega_new = base + CT_RATE_STD * noise[4]
-        out = np.empty(5)
-        out[:4] = ct_transition(omega) @ x[:4]
-        out[:4] += CT_PROCESS_STD * (_ct_noise_root(omega_new) @ noise[:4])
+        omega_new = base + CT_RATE_STD * N[4]
+        out = np.empty(X.shape)
+        # the transition and the noise root depend on each column's rate
+        for i in range(X.shape[1]):
+            out[:4, i] = ct_transition(omega[i]) @ X[:4, i]
+            out[:4, i] += CT_PROCESS_STD * (_ct_noise_root(omega_new[i]) @ N[:4, i])
         out[4] = omega_new
         return out
 
-    def sample_process_noise(rng, count=None):
-        return rng.standard_normal((5,) if count is None else (5, count))
-
-    def sample_measurement_noise(rng, count=None):
-        shape = (1,) if count is None else (1, count)
-        return BOT_MEASUREMENT_STD * rng.standard_normal(shape)
+    def sample_process_noise(rng, count):
+        return rng.standard_normal((5, count))
 
     def sample_prior(rng):
         pos = BOT_PRIOR_MEAN + prior_root4 @ rng.standard_normal(4)
@@ -387,9 +377,9 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
         process_noise_dim=5,
         measurement_noise_dim=1,
         process=process,
-        measure=_bearing_measure(BOT_MEASUREMENT_STD),
+        measure=_bearing_measure,
         sample_process_noise=sample_process_noise,
-        sample_measurement_noise=sample_measurement_noise,
+        sample_measurement_noise=_sample_bearing_noise,
         measurement_log_likelihood=_bearing_log_likelihood(BOT_MEASUREMENT_STD),
         sample_prior=sample_prior,
         prior_mean=prior_mean,
@@ -423,15 +413,13 @@ def simulate(model: StateSpaceModel, N: int, rng: np.random.Generator) -> Trajec
         raise ValueError("N must be at least 1")
     states = np.empty((model.state_dim, N))
     observations = np.empty((model.obs_dim, N))
-    x = model.sample_prior(rng)
+    x = model.sample_prior(rng)[:, None]
     for n in range(1, N + 1):
-        u = model.sample_process_noise(rng)
-        x = model.process(x, u, n)
+        x = model.process(x, model.sample_process_noise(rng, 1), n)
         if not np.isfinite(x).all():
             raise SimulationDivergedError(n)
-        v = model.sample_measurement_noise(rng)
-        observations[:, n - 1] = model.measure(x, v)
-        states[:, n - 1] = x
+        observations[:, n - 1 : n] = model.measure(x, model.sample_measurement_noise(rng, 1))
+        states[:, n - 1 : n] = x
     return Trajectory(states, observations)
 
 

@@ -42,11 +42,11 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
     def measure(x, noise):
         return x + noise
 
-    def sample_noise(rng, count=None):
-        return noise_std * rng.standard_normal((1,) if count is None else (1, count))
+    def sample_noise(rng, count):
+        return noise_std * rng.standard_normal((1, count))
 
     def log_likelihood(y, x):
-        delta = (y - x[0]) / noise_std
+        delta = (y[0] - x[0]) / noise_std
         return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
 
     return StateSpaceModel(
@@ -572,9 +572,7 @@ class TestMultistepOracle:
             propose(state, estimate(state), rng_run)
 
             noise = model.sample_process_noise(rng_oracle, m)
-            cur = np.empty_like(prop)
-            for i in range(m):
-                cur[:, i] = model.process(prop[:, i], noise[:, i], n + 1)
+            cur = model.process(prop, noise, n + 1)
             K = gram(spec_x, Ensemble(prop), Ensemble(prop))
             lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
             T = np.linalg.inv(K + lam * np.eye(m)) @ K
@@ -583,9 +581,7 @@ class TestMultistepOracle:
             S_minus = S_t + R @ R.T / m
 
             v = model.sample_measurement_noise(rng_oracle, m)
-            obs = np.empty((1, m))
-            for i in range(m):
-                obs[:, i] = model.measure(cur[:, i], v[:, i])
+            obs = model.measure(cur, v)
             G = gram(spec_y, Ensemble(obs), Ensemble(obs))
             g = gram(spec_y, Ensemble(obs), Ensemble(ys[:, n].reshape(-1, 1)))[:, 0]
             Q = S_minus @ np.linalg.inv(G @ S_minus + cfg.kappa * np.eye(m))

@@ -48,11 +48,11 @@ def linear_model(
     def measure(x, noise):
         return x + noise
 
-    def sample_noise(rng, count=None):
-        return noise_std * rng.standard_normal((1,) if count is None else (1, count))
+    def sample_noise(rng, count):
+        return noise_std * rng.standard_normal((1, count))
 
     def default_log_likelihood(y, x):
-        delta = (y - x[0]) / noise_std
+        delta = (y[0] - x[0]) / noise_std
         return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
 
     return StateSpaceModel(
@@ -148,13 +148,11 @@ class TestPf:
         assert_allclose(means, KF_MEANS, atol=0.05)
 
     def test_constant_likelihood_gives_unweighted_mean(self):
-        model = linear_model(a=1.0, log_likelihood=lambda y, x: 0.0)
+        model = linear_model(a=1.0, log_likelihood=lambda y, x: np.zeros(x.shape[1]))
         zero_noise = StateSpaceModel(
             **{
                 **{f: getattr(model, f) for f in model.__dataclass_fields__},
-                "sample_process_noise": lambda rng, count=None: np.zeros(
-                    (1,) if count is None else (1, count)
-                ),
+                "sample_process_noise": lambda rng, count: np.zeros((1, count)),
             }
         )
         rng = np.random.default_rng(5)
@@ -172,7 +170,7 @@ class TestPf:
         assert state.weights[0] == 1.0
 
     def test_vanished_likelihoods_raise(self):
-        model = linear_model(log_likelihood=lambda y, x: -np.inf)
+        model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], -np.inf))
         rng = np.random.default_rng(7)
         state = pf_init(model, 5, rng)
         with pytest.raises(DegenerateWeightsError):
@@ -199,13 +197,11 @@ class TestGpf:
         assert_allclose(means, KF_MEANS, atol=0.05)
 
     def test_point_mass_stays_put(self):
-        model = linear_model(a=1.0, log_likelihood=lambda y, x: 0.0)
+        model = linear_model(a=1.0, log_likelihood=lambda y, x: np.zeros(x.shape[1]))
         frozen = StateSpaceModel(
             **{
                 **{f: getattr(model, f) for f in model.__dataclass_fields__},
-                "sample_process_noise": lambda rng, count=None: np.zeros(
-                    (1,) if count is None else (1, count)
-                ),
+                "sample_process_noise": lambda rng, count: np.zeros((1, count)),
             }
         )
         belief = GaussianBelief(np.array([0.7]), np.zeros((1, 1)))
@@ -214,7 +210,7 @@ class TestGpf:
         assert_allclose(out.cov, [[0.0]], atol=1e-15)
 
     def test_constant_likelihood_matches_sample_moments(self):
-        model = linear_model(log_likelihood=lambda y, x: 3.5)
+        model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], 3.5))
         rng_run = np.random.default_rng(11)
         rng_oracle = np.random.default_rng(11)
         belief = GaussianBelief(np.array([0.0]), np.eye(1))
@@ -226,7 +222,7 @@ class TestGpf:
         assert_allclose(out.cov, np.cov(columns, bias=True).reshape(1, 1), rtol=1e-8)
 
     def test_vanished_likelihoods_raise(self):
-        model = linear_model(log_likelihood=lambda y, x: -np.inf)
+        model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], -np.inf))
         belief = GaussianBelief(np.array([0.0]), np.eye(1))
         with pytest.raises(DegenerateWeightsError):
             gpf_step(belief, np.array([0.0]), model, 20, np.random.default_rng(12), 1)

@@ -336,6 +336,24 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("option", ["--filters", "--particles"])
+    def test_sweep_empty_list_exits_2(self, tmp_path, capsys, option):
+        args = {"--filters": "pf", "--particles": "10", option: ""}
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep",
+                    "--scenario", "ungm",
+                    "--filters", args["--filters"],
+                    "--particles", args["--particles"],
+                    "--realizations", "1",
+                    "--seed", "0",
+                    "--out", str(tmp_path / "x.csv"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         rc = main(
             [

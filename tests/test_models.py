@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
@@ -27,26 +29,31 @@ from kkbench import (
 from kkbench.models import BOT_PRIOR_COV_RAW, BOT_PRIOR_MEAN, CV_F, CV_G
 
 
+def col(*values):
+    """One state or noise vector as a d x 1 batch."""
+    return np.array(values, dtype=float)[:, None]
+
+
 class TestUngm:
     def test_process_zero_state(self):
         model = ungm()
-        got = model.process(np.array([0.0]), np.array([0.0]), 1)
+        got = model.process(col(0.0), col(0.0), 1)[:, 0]
         assert_allclose(got, [8.0], rtol=1e-15)
 
     def test_process_unit_state(self):
         model = ungm()
-        got = model.process(np.array([1.0]), np.array([0.0]), 1)
+        got = model.process(col(1.0), col(0.0), 1)[:, 0]
         assert_allclose(got, [0.5 + 12.5 + 8.0], rtol=1e-15)
 
     def test_measure(self):
         model = ungm()
-        assert_allclose(model.measure(np.array([20.0]), np.array([0.0])), [20.0], rtol=1e-15)
+        assert_allclose(model.measure(col(20.0), col(0.0))[:, 0], [20.0], rtol=1e-15)
 
     def test_time_index_is_one_based(self):
         # cos(1.2 (n-1)) must be cos 0 at the first step
         model = ungm()
-        first = model.process(np.array([0.0]), np.array([0.0]), 1)[0]
-        second = model.process(np.array([0.0]), np.array([0.0]), 2)[0]
+        first = model.process(col(0.0), col(0.0), 1)[0, 0]
+        second = model.process(col(0.0), col(0.0), 2)[0, 0]
         assert first == 8.0
         assert_allclose(second, 8.0 * math.cos(1.2), rtol=1e-15)
 
@@ -62,9 +69,9 @@ class TestUngm:
 
     def test_log_likelihood_matches_normal(self):
         model = ungm()
-        y, x = 3.0, np.array([4.0])
-        expected = norm.logpdf(y - x[0] ** 2 / 20.0)
-        assert_allclose(model.measurement_log_likelihood(y, x), expected, rtol=1e-12)
+        y, x = np.array([3.0]), col(4.0)
+        expected = norm.logpdf(y[0] - x[0, 0] ** 2 / 20.0)
+        assert_allclose(model.measurement_log_likelihood(y, x), [expected], rtol=1e-12)
 
 
 class TestBearing:
@@ -76,6 +83,19 @@ class TestBearing:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             bearing(0.0, 0.0)
+
+    def test_batch_with_one_origin_column_rejected(self):
+        xi = np.array([1.0, 0.0, -2.0])
+        eta = np.array([0.5, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            bearing(xi, eta)
+        with pytest.raises(ValueError):
+            bot_cv().measure(np.vstack([xi, np.zeros(3), eta, np.zeros(3)]), np.zeros((1, 3)))
+
+    def test_elementwise_over_arrays(self):
+        xi = np.array([1.0, -1.0, 0.0])
+        eta = np.array([1.0, 0.0, -2.0])
+        assert_allclose(bearing(xi, eta), [math.pi / 4.0, math.pi, -math.pi / 2.0], rtol=1e-15)
 
 
 class TestWrapAngle:
@@ -92,12 +112,12 @@ class TestWrapAngle:
 class TestBotCv:
     def test_process_velocity_shift(self):
         model = bot_cv()
-        got = model.process(np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(2), 1)
+        got = model.process(col(0.0, 1.0, 0.0, 0.0), np.zeros((2, 1)), 1)[:, 0]
         assert_array_equal(got, [1.0, 1.0, 0.0, 0.0])
 
     def test_process_noise_columns(self):
         model = bot_cv()
-        got = model.process(np.zeros(4), np.array([2.0, 4.0]), 1)
+        got = model.process(np.zeros((4, 1)), col(2.0, 4.0), 1)[:, 0]
         assert_allclose(got, [1.0, 2.0, 2.0, 4.0], rtol=1e-15)
 
     def test_prior_mean_and_dims(self):
@@ -127,39 +147,30 @@ class TestBotCv:
     def test_zero_noise_increments_equal_velocity(self):
         model = bot_cv()
         # dyadic values keep the check exact in floating point
-        x = np.array([1.0, -0.25, 2.0, 0.75])
-        new = model.process(x, np.zeros(2), 1)
-        assert new[0] - x[0] == x[1]
-        assert new[2] - x[2] == x[3]
+        x = col(1.0, -0.25, 2.0, 0.75)
+        new = model.process(x, np.zeros((2, 1)), 1)
+        assert new[0, 0] - x[0, 0] == x[1, 0]
+        assert new[2, 0] - x[2, 0] == x[3, 0]
 
     def test_measure_is_noisy_bearing(self):
         model = bot_cv()
-        x = np.array([1.0, 0.0, 1.0, 0.0])
-        assert_allclose(model.measure(x, np.array([0.05])), [math.pi / 4.0 + 0.05], rtol=1e-12)
+        x = col(1.0, 0.0, 1.0, 0.0)
+        assert_allclose(model.measure(x, col(0.05))[:, 0], [math.pi / 4.0 + 0.05], rtol=1e-12)
 
     def test_log_likelihood_wraps_2pi(self):
         model = bot_cv()
-        x = np.array([1.0, 0.0, 1.0, 0.0])
+        x = col(1.0, 0.0, 1.0, 0.0)
         y = math.pi / 4.0 + 0.01
-        base = model.measurement_log_likelihood(y, x)
-        shifted = model.measurement_log_likelihood(y + 2.0 * math.pi, x)
+        base = model.measurement_log_likelihood(np.array([y]), x)
+        shifted = model.measurement_log_likelihood(np.array([y + 2.0 * math.pi]), x)
         assert_allclose(shifted, base, rtol=1e-12)
-
-    def test_log_likelihood_batch_matches_scalar(self):
-        model = bot_cv()
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((4, 6)) + 2.0
-        y = 0.3
-        batch = model.measurement_log_likelihood(y, X)
-        singles = [model.measurement_log_likelihood(y, X[:, i]) for i in range(6)]
-        assert_allclose(batch, singles, rtol=1e-12)
 
     def test_log_likelihood_matches_normal_density(self):
         model = bot_cv()
-        x = np.array([1.0, 0.0, 1.0, 0.0])
+        x = col(1.0, 0.0, 1.0, 0.0)
         y = math.pi / 4.0 + 0.002
         expected = norm.logpdf(0.002, scale=5e-3)
-        assert_allclose(model.measurement_log_likelihood(y, x), expected, rtol=1e-10)
+        assert_allclose(model.measurement_log_likelihood(np.array([y]), x), [expected], rtol=1e-10)
 
 
 class TestCtTransition:
@@ -222,21 +233,21 @@ class TestBotCt:
 
     def test_turn_rate_random_walk(self):
         model = bot_ct()
-        x = np.array([1.0, 0.1, 1.0, 0.1, 0.2])
-        out = model.process(x, np.zeros(5), 3)
+        x = col(1.0, 0.1, 1.0, 0.1, 0.2)
+        out = model.process(x, np.zeros((5, 1)), 3)[:, 0]
         assert_allclose(out[4], 0.2, rtol=1e-15)
 
     def test_turn_rate_collapse_at_switch(self):
         model = bot_ct(horizon=30)
-        x = np.array([1.0, 0.1, 1.0, 0.1, 0.3])
-        out = model.process(x, np.zeros(5), 15)
+        x = col(1.0, 0.1, 1.0, 0.1, 0.3)
+        out = model.process(x, np.zeros((5, 1)), 15)[:, 0]
         assert_allclose(out[4], 0.1, rtol=1e-15)
 
     def test_zero_noise_uses_transition(self):
         model = bot_ct()
-        x = np.array([1.0, 0.1, 1.0, 0.1, 0.25])
-        out = model.process(x, np.zeros(5), 2)
-        assert_allclose(out[:4], ct_transition(0.25) @ x[:4], rtol=1e-14)
+        x = col(1.0, 0.1, 1.0, 0.1, 0.25)
+        out = model.process(x, np.zeros((5, 1)), 2)[:, 0]
+        assert_allclose(out[:4], ct_transition(0.25) @ x[:4, 0], rtol=1e-14)
 
     def test_prior_rate_uniform(self):
         model = bot_ct()
@@ -260,11 +271,45 @@ class TestBuildModel:
             build_model("ungm2")
 
 
+class TestBatchedCallbacks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["ungm", "bot-cv", "bot-ct"]),
+        m=st.integers(1, 40),
+        step=st.sampled_from(["first", "switch", "last"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_column_by_column(self, name, m, step, seed):
+        # every callback maps a d x M batch exactly as it maps each d x 1
+        # slice, including bot-ct's turn-rate collapse at horizon // 2
+        model = build_model(name)
+        horizon = model.default_horizon
+        n = {"first": 1, "switch": horizon // 2, "last": horizon}[step]
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+        X = X + rng.standard_normal(X.shape)
+        N = model.sample_process_noise(rng, m)
+        V = model.sample_measurement_noise(rng, m)
+        y = rng.uniform(-3.0, 3.0, model.obs_dim)
+
+        moved = model.process(X, N, n)
+        observed = model.measure(X, V)
+        log_lik = model.measurement_log_likelihood(y, X)
+        assert moved.shape == (model.state_dim, m)
+        assert observed.shape == (model.obs_dim, m)
+        assert log_lik.shape == (m,)
+        for i in range(m):
+            one = slice(i, i + 1)
+            assert_array_equal(moved[:, one], model.process(X[:, one], N[:, one], n))
+            assert_array_equal(observed[:, one], model.measure(X[:, one], V[:, one]))
+            assert_array_equal(log_lik[one], model.measurement_log_likelihood(y, X[:, one]))
+
+
 def toy_model(blowup_at=None):
     def process(x, noise, n):
         if blowup_at is not None and n >= blowup_at:
-            return np.array([np.inf])
-        return np.array([x[0] + 1.0 + noise[0]])
+            return np.full_like(x, np.inf)
+        return x + 1.0 + noise
 
     return StateSpaceModel(
         name="toy",
@@ -273,10 +318,10 @@ def toy_model(blowup_at=None):
         process_noise_dim=1,
         measurement_noise_dim=1,
         process=process,
-        measure=lambda x, v: np.array([2.0 * x[0] + v[0]]),
-        sample_process_noise=lambda rng, count=None: np.zeros((1,) if count is None else (1, count)),
-        sample_measurement_noise=lambda rng, count=None: np.zeros((1,) if count is None else (1, count)),
-        measurement_log_likelihood=lambda y, x: -0.5 * (y - 2.0 * x[0]) ** 2,
+        measure=lambda x, v: 2.0 * x + v,
+        sample_process_noise=lambda rng, count: np.zeros((1, count)),
+        sample_measurement_noise=lambda rng, count: np.zeros((1, count)),
+        measurement_log_likelihood=lambda y, x: -0.5 * (y[0] - 2.0 * x[0]) ** 2,
         sample_prior=lambda rng: np.array([0.0]),
         prior_mean=np.zeros(1),
         prior_cov=np.zeros((1, 1)),
