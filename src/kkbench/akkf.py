@@ -1,12 +1,13 @@
 """Adaptive kernel Kalman filter.
 
-The filter keeps two coupled representations of the state belief: a particle
-ensemble in data space, and a weight vector plus weight covariance over that
-ensemble, which together embed the belief's mean and covariance operator in
-the kernel feature space.  Each step propagates the proposal particles
-through the process model, performs a linear gain update against the kernel
-embedding of the new observation, reads out a Gaussian belief, and redraws
-proposal particles from it, re-expressing the weights in the new basis.
+The filter keeps one weighted ensemble: particles in data space, and a weight
+vector plus weight covariance over them, which together embed the belief's
+mean and covariance operator in the kernel feature space.  Each step
+propagates the particles through the process model, performs a linear gain
+update against the kernel embedding of the new observation, reads out a
+Gaussian belief, and redraws the particles from it, re-expressing the weights
+in the new basis and charging the basis's propagation residual to the weight
+covariance.
 """
 
 from __future__ import annotations
@@ -63,22 +64,18 @@ class AkkfConfig:
 
 @dataclass
 class AkkfState:
-    """Mutable filter state.
+    """Mutable filter state: one weighted ensemble.
 
-    ``particles`` is the current basis, ``proposal_particles`` the basis the
-    next prediction propagates.  ``w`` and ``S`` are the weight vector and
-    weight covariance over the basis the last stage produced: the proposals
-    after init and propose, the current particles after predict and update.
-    ``V`` is the propagation residual of the proposal basis, added to ``S``
-    by the next prediction.
+    ``w`` and ``S`` are the weight vector and weight covariance over
+    ``particles`` after every stage.  After init and propose, ``S`` already
+    holds the basis's propagation residual, so predict only moves the
+    particles.
     """
 
     config: AkkfConfig
     particles: Ensemble
-    proposal_particles: Ensemble
     w: np.ndarray
     S: np.ndarray
-    V: np.ndarray
     n: int = 0
 
 
@@ -124,22 +121,24 @@ def _rebasis(
     right-hand side gives Gamma = (K + lambda I)^-1 K_px, which maps weights
     over ``particles`` onto the proposals, and the ridge-smoothed identity
     T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
-    the finite-sample propagation error the next prediction adds.
+    the finite-sample propagation error of the proposal basis.  When
+    ``particles is proposals`` Gamma is T itself, so the solve takes K alone.
     """
     spec = resolve_bandwidth(cfg.state_kernel, proposals)
     K_pp = gram(spec, proposals, proposals)
-    K_px = gram(spec, proposals, particles)
+    rhs = K_pp if particles is proposals else np.hstack([gram(spec, proposals, particles), K_pp])
     lam = cfg.lambda_tilde * _gram_scale(K_pp)
-    X = ridge_solve(K_pp, lam, np.hstack([K_px, K_pp]), name="proposal self-gram")
+    X = ridge_solve(K_pp, lam, rhs, name="proposal self-gram")
     m = proposals.count
-    residual = X[:, particles.count :] - np.eye(m)
+    residual = X[:, -m:] - np.eye(m)
     return X[:, : particles.count], (residual @ residual.T) / m
 
 
 def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> AkkfState:
     """Draw the initial ensemble from the prior with uniform weights.
 
-    The prior draws are also the first proposal basis.
+    The weight covariance starts at I/M plus the prior basis's propagation
+    residual.
     """
     columns = np.column_stack([model.sample_prior(rng) for _ in range(cfg.M)])
     particles = Ensemble(columns)
@@ -147,29 +146,24 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     return AkkfState(
         config=cfg,
         particles=particles,
-        proposal_particles=particles,
         w=np.full(cfg.M, 1.0 / cfg.M),
-        S=np.eye(cfg.M) / cfg.M,
-        V=V,
+        S=np.eye(cfg.M) / cfg.M + V,
         n=0,
     )
 
 
 def predict(state: AkkfState, model: StateSpaceModel, rng: np.random.Generator) -> AkkfState:
-    """Propagate proposal particles and form the predictive weights.
+    """Propagate the particles through the process model.
 
-    The weight vector is carried over from the rebased posterior unchanged;
-    the weight covariance gains the proposal basis's residual ``V``,
-    accounting for the finite-sample propagation error.
+    The weights carry over unchanged: init and propose already charged the
+    basis's propagation residual to ``S``.
     """
     n = state.n + 1
-    proposals = state.proposal_particles
-    noise = model.sample_process_noise(rng, proposals.count)
-    columns = model.process(proposals.particles, noise, n)
+    noise = model.sample_process_noise(rng, state.particles.count)
+    columns = model.process(state.particles.particles, noise, n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "propagated particle")
     state.particles = Ensemble(columns)
-    state.S = state.S + state.V
     state.n = n
     return state
 
@@ -214,18 +208,19 @@ def estimate(state: AkkfState) -> GaussianBelief:
 
 
 def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) -> AkkfState:
-    """Redraw proposal particles and re-express the weights in their basis.
+    """Redraw the particles and re-express the weights in their basis.
 
-    Proposals are sampled from the posterior belief; the basis change solves
-    the ridge system between the proposal self-Gram and the
-    proposal-to-current cross-Gram.
+    Proposals are sampled from the posterior belief and replace the
+    particles; the basis change solves the ridge system between the
+    proposal self-Gram and the proposal-to-current cross-Gram, and the
+    proposal basis's propagation residual is added to the rebased ``S``.
     """
     proposals = Ensemble(belief.sample(rng, state.config.M))
-    Gamma, state.V = _rebasis(state.config, proposals, state.particles)
+    Gamma, V = _rebasis(state.config, proposals, state.particles)
     S = Gamma @ state.S @ Gamma.T
-    state.proposal_particles = proposals
+    state.particles = proposals
     state.w = Gamma @ state.w
-    state.S = (S + S.T) / 2.0
+    state.S = (S + S.T) / 2.0 + V
     return state
 
 

@@ -41,14 +41,18 @@ class PfState:
     n: int = 0
 
 
+# Unscented transform scaling: spread alpha, prior-knowledge beta (2 is
+# optimal for Gaussians), secondary scaling kappa.
+UKF_ALPHA = 1e-3
+UKF_BETA = 2.0
+UKF_KAPPA = 0.0
+
+
 @dataclass
 class UkfState:
-    """Unscented filter state: a Gaussian belief plus scaling parameters."""
+    """Unscented filter state: a Gaussian belief and the step count."""
 
     belief: GaussianBelief
-    alpha: float = 1e-3
-    beta: float = 2.0
-    kappa: float = 0.0
     n: int = 0
 
 
@@ -175,15 +179,15 @@ def ukf_step(state: UkfState, y_n, model: StateSpaceModel) -> UkfState:
     zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
     zero_v = np.zeros((model.measurement_noise_dim, 2 * d + 1))
 
-    points, lam = _sigma_points(state.belief, state.alpha, state.kappa)
-    w_mean, w_cov = _sigma_weights(d, lam, state.alpha, state.beta)
+    points, lam = _sigma_points(state.belief, UKF_ALPHA, UKF_KAPPA)
+    w_mean, w_cov = _sigma_weights(d, lam, UKF_ALPHA, UKF_BETA)
     propagated = model.process(points, zero_u, n)
     mean_pred = propagated @ w_mean
     centered = propagated - mean_pred[:, None]
     cov_pred = (centered * w_cov) @ centered.T + model.process_noise_cov(state.belief.mean, n)
     predicted = GaussianBelief(mean_pred, psd_repair(cov_pred))
 
-    points2, lam2 = _sigma_points(predicted, state.alpha, state.kappa)
+    points2, _ = _sigma_points(predicted, UKF_ALPHA, UKF_KAPPA)
     obs = model.measure(points2, zero_v)
     y_mean = obs @ w_mean
     dy = obs - y_mean[:, None]
@@ -204,7 +208,7 @@ def ukf_step(state: UkfState, y_n, model: StateSpaceModel) -> UkfState:
         cov_new = psd_repair(cov_new)
     else:
         cov_new = (cov_new + cov_new.T) / 2.0
-    return UkfState(GaussianBelief(mean_new, cov_new), state.alpha, state.beta, state.kappa, n)
+    return UkfState(GaussianBelief(mean_new, cov_new), n)
 
 
 def kkr_fit(

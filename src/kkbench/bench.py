@@ -28,9 +28,9 @@ from .baselines import (
     ukf_step,
 )
 from .kernels import GaussianBelief, KernelSpec, SingularMatrixError
-from .models import SimulationDivergedError, build_model, simulate
+from .models import MODEL_BUILDERS, SimulationDivergedError, build_model, simulate
 
-SCENARIOS = ("ungm", "bot-cv", "bot-ct")
+SCENARIOS = tuple(MODEL_BUILDERS)
 FILTERS = ("akkf-quadratic", "akkf-quartic", "akkf-gaussian", "pf", "gpf", "ukf")
 
 RUN_HEADER = ["scenario", "filter", "particles", "realization", "metric", "runtime_s", "diverged"]

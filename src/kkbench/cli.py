@@ -27,46 +27,46 @@ def _str_list(text: str) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every command shares; each command adds its filter and
+    # particle options
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--scenario", required=True)
+    cell.add_argument("--realizations", type=int, required=True)
+    cell.add_argument("--seed", type=int, required=True)
+    cell.add_argument("--lambda", dest="lam", type=float, default=1e-3)
+    cell.add_argument("--kappa", type=float, default=1e-3)
+    cell.add_argument("--horizon", type=int, default=None)
+    cell.add_argument("--workers", type=int, default=1)
+    cell.add_argument("--out", required=True)
+
     parser = argparse.ArgumentParser(prog="kkbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="Monte Carlo run of one scenario/filter cell")
-    run.add_argument("--scenario", required=True)
+    run = sub.add_parser("run", parents=[cell], help="Monte Carlo run of one scenario/filter cell")
     run.add_argument("--filter", required=True)
     run.add_argument("--particles", type=int, required=True)
-    run.add_argument("--realizations", type=int, required=True)
-    run.add_argument("--seed", type=int, required=True)
-    run.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    run.add_argument("--kappa", type=float, default=1e-3)
-    run.add_argument("--horizon", type=int, default=None)
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--out", required=True)
 
-    sw = sub.add_parser("sweep", help="summaries over a filter x particle grid")
-    sw.add_argument("--scenario", required=True)
+    sw = sub.add_parser("sweep", parents=[cell], help="summaries over a filter x particle grid")
     sw.add_argument("--filters", type=_str_list, required=True)
     sw.add_argument("--particles", type=_int_list, required=True)
-    sw.add_argument("--realizations", type=int, required=True)
-    sw.add_argument("--seed", type=int, required=True)
-    sw.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    sw.add_argument("--kappa", type=float, default=1e-3)
-    sw.add_argument("--horizon", type=int, default=None)
-    sw.add_argument("--workers", type=int, default=1)
-    sw.add_argument("--out", required=True)
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ScenarioConfig(
+def _scenario_config(args: argparse.Namespace, filter_name: str, M: int) -> ScenarioConfig:
+    return ScenarioConfig(
         scenario=args.scenario,
-        filter=args.filter,
-        M=args.particles,
+        filter=filter_name,
+        M=M,
         realizations=args.realizations,
         seed=args.seed,
         lam=args.lam,
         kappa=args.kappa,
         horizon=args.horizon,
     )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _scenario_config(args, args.filter, args.particles)
     records, summary = run_mc(cfg, workers=args.workers)
     write_run_csv(args.out, cfg, records)
     print(
@@ -83,16 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # the base is the grid's first cell, so it fails validation only when
     # sweep would reject that cell anyway
-    base = ScenarioConfig(
-        scenario=args.scenario,
-        filter=args.filters[0],
-        M=args.particles[0],
-        realizations=args.realizations,
-        seed=args.seed,
-        lam=args.lam,
-        kappa=args.kappa,
-        horizon=args.horizon,
-    )
+    base = _scenario_config(args, args.filters[0], args.particles[0])
     rows = sweep(base, args.particles, args.filters, workers=args.workers)
     write_summary_csv(args.out, rows)
     for cfg, summary in rows:

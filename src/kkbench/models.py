@@ -100,6 +100,36 @@ def bearing(xi, eta):
     return np.arctan2(eta, xi)
 
 
+def _measurement_law(h, std: float, wrap=None) -> dict:
+    """The measurement fields of a model observed as y = h(X) + v, v ~ N(0, std^2).
+
+    ``h`` maps a d x M state batch to its length-M noiseless observations;
+    ``wrap``, when given, folds residuals back onto the observation's range.
+    """
+    norm = -math.log(std) - 0.5 * LOG_2PI
+    inv_two_var = 0.5 / (std * std)
+
+    def measure(X, V):
+        return (h(X) + V[0])[None, :]
+
+    def sample_noise(rng, count):
+        return std * rng.standard_normal((1, count))
+
+    def log_likelihood(y, X):
+        delta = y[0] - h(X)
+        if wrap is not None:
+            delta = wrap(delta)
+        return -inv_two_var * delta * delta + norm
+
+    return dict(
+        measure=measure,
+        sample_measurement_noise=sample_noise,
+        measurement_log_likelihood=log_likelihood,
+        measurement_noise_cov=np.array([[std**2]]),
+        wrap_residual=wrap,
+    )
+
+
 def ungm(horizon: int = 100) -> StateSpaceModel:
     """Univariate nonlinear growth model.
 
@@ -113,15 +143,8 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
         drift = 0.5 * x0 + 25.0 * x0 / (1.0 + x0 * x0) + 8.0 * math.cos(1.2 * (n - 1))
         return (drift + N[0])[None, :]
 
-    def measure(X, V):
-        return (X[0] * X[0] / 20.0 + V[0])[None, :]
-
     def sample_process_noise(rng, count):
         return rng.standard_normal((1, count))
-
-    def log_likelihood(y, X):
-        delta = y[0] - X[0] * X[0] / 20.0
-        return -0.5 * delta * delta - 0.5 * LOG_2PI
 
     return StateSpaceModel(
         name="ungm",
@@ -130,16 +153,13 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
         process_noise_dim=1,
         measurement_noise_dim=1,
         process=process,
-        measure=measure,
         sample_process_noise=sample_process_noise,
-        sample_measurement_noise=sample_process_noise,
-        measurement_log_likelihood=log_likelihood,
         sample_prior=lambda rng: np.array([0.1]),
         prior_mean=np.array([0.1]),
         prior_cov=np.zeros((1, 1)),
         process_noise_cov=lambda x, n: np.eye(1),
-        measurement_noise_cov=np.eye(1),
         default_horizon=horizon,
+        **_measurement_law(lambda X: X[0] * X[0] / 20.0, 1.0),
     )
 
 
@@ -187,23 +207,9 @@ def _eigen_root(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-def _bearing_log_likelihood(sigma: float):
-    norm = -math.log(sigma) - 0.5 * LOG_2PI
-    inv_two_var = 0.5 / (sigma * sigma)
-
-    def log_likelihood(y, X):
-        delta = wrap_angle(y[0] - bearing(X[0], X[2]))
-        return -inv_two_var * delta * delta + norm
-
-    return log_likelihood
-
-
-def _bearing_measure(X, V):
-    return (bearing(X[0], X[2]) + V[0])[None, :]
-
-
-def _sample_bearing_noise(rng, count):
-    return BOT_MEASUREMENT_STD * rng.standard_normal((1, count))
+def _bearing_law() -> dict:
+    # one sensor at the origin; bearing residuals wrap into (-pi, pi]
+    return _measurement_law(lambda X: bearing(X[0], X[2]), BOT_MEASUREMENT_STD, wrap_angle)
 
 
 def bot_cv(horizon: int = 30) -> StateSpaceModel:
@@ -239,17 +245,13 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
         process_noise_dim=2,
         measurement_noise_dim=1,
         process=process,
-        measure=_bearing_measure,
         sample_process_noise=sample_process_noise,
-        sample_measurement_noise=_sample_bearing_noise,
-        measurement_log_likelihood=_bearing_log_likelihood(BOT_MEASUREMENT_STD),
         sample_prior=sample_prior,
         prior_mean=BOT_PRIOR_MEAN.copy(),
         prior_cov=prior_cov,
         process_noise_cov=lambda x, n: q_cov,
-        measurement_noise_cov=np.array([[BOT_MEASUREMENT_STD**2]]),
         default_horizon=horizon,
-        wrap_residual=wrap_angle,
+        **_bearing_law(),
     )
 
 
@@ -377,17 +379,13 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
         process_noise_dim=5,
         measurement_noise_dim=1,
         process=process,
-        measure=_bearing_measure,
         sample_process_noise=sample_process_noise,
-        sample_measurement_noise=_sample_bearing_noise,
-        measurement_log_likelihood=_bearing_log_likelihood(BOT_MEASUREMENT_STD),
         sample_prior=sample_prior,
         prior_mean=prior_mean,
         prior_cov=prior_cov,
         process_noise_cov=process_noise_cov,
-        measurement_noise_cov=np.array([[BOT_MEASUREMENT_STD**2]]),
         default_horizon=horizon,
-        wrap_residual=wrap_angle,
+        **_bearing_law(),
     )
 
 

@@ -5,6 +5,8 @@ linear algebra and explicit Gram assembly, then compare against the
 solver-based implementation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,8 @@ from kkbench import (
     resolve_bandwidth,
     simulate,
 )
-from kkbench.akkf import _gram_scale, estimate, init, predict, propose, step, update
+from kkbench import akkf
+from kkbench.akkf import _gram_scale, _rebasis, estimate, init, predict, propose, step, update
 from kkbench.models import StateSpaceModel
 
 
@@ -178,8 +181,30 @@ class TestInit:
         assert state.n == 0
         assert state.particles.count == 6
         assert_allclose(state.w, np.full(6, 1.0 / 6.0))
-        assert_allclose(state.S, np.eye(6) / 6.0)
-        assert np.array_equal(state.proposal_particles.particles, state.particles.particles)
+        _, V = _rebasis(cfg, state.particles, state.particles)
+        assert_allclose(state.S, np.eye(6) / 6.0 + V)
+        assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S", "n"]
+
+    def test_one_gram_and_m_column_solve(self, monkeypatch):
+        # the prior draws are their own basis, so init needs the self-Gram
+        # alone and solves M right-hand-side columns for the residual
+        grams, widths = [], []
+        real_gram, real_solve = akkf.gram, akkf.ridge_solve
+
+        def counting_gram(spec, A, B):
+            grams.append((A.count, B.count))
+            return real_gram(spec, A, B)
+
+        def counting_solve(K, lam, B, name="gram matrix"):
+            widths.append(B.shape[1])
+            return real_solve(K, lam, B, name=name)
+
+        monkeypatch.setattr(akkf, "gram", counting_gram)
+        monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
+        cfg = AkkfConfig(KernelSpec("gaussian"), M=7)
+        init(identity_model(), cfg, np.random.default_rng(0))
+        assert grams == [(7, 7)]
+        assert widths == [7]
 
     def test_deterministic_prior_gives_equal_particles(self):
         model = build_model("ungm")
@@ -194,7 +219,7 @@ class TestPredict:
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.5), M=5, lambda_tilde=1e-2)
         rng = np.random.default_rng(4)
         state = init(model, cfg, rng)
-        proposals = state.proposal_particles.particles.copy()
+        proposals = state.particles.particles.copy()
         S_tilde = state.S.copy()
         w_tilde = state.w.copy()
 
@@ -211,19 +236,18 @@ class TestPredict:
         assert state.n == 1
         assert_allclose(state.particles.particles, expected_particles, rtol=1e-12)
         assert np.array_equal(state.w, w_tilde)
-        assert_allclose(state.S, S_tilde + R @ R.T / 5.0, rtol=1e-8, atol=1e-12)
+        assert np.array_equal(state.S, S_tilde)
+        assert_allclose(S_tilde, np.eye(5) / 5.0 + R @ R.T / 5.0, rtol=1e-8, atol=1e-12)
 
     def test_tiny_ridge_adds_no_spread(self):
         # T approaches the identity as the ridge vanishes, so the propagation
-        # residual V goes to zero and the predicted S collapses onto the
-        # rebased one.
+        # residual V that init adds goes to zero and the S that predict
+        # carries is the uniform I/M.
         model = identity_model()
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=6, lambda_tilde=1e-13)
         rng = np.random.default_rng(5)
         state = init(model, cfg, rng)
-        S_tilde = state.S.copy()
-        predict(state, model, rng)
-        assert_allclose(state.S, S_tilde, atol=1e-8)
+        assert_allclose(state.S, np.eye(6) / 6.0, atol=1e-8)
 
     def test_nonfinite_particle_raises(self):
         model = identity_model()
@@ -333,22 +357,22 @@ class TestPropose:
         state.w = np.array([0.4, 0.3, 0.2, 0.1])
         w_plus = state.w.copy()
         S_plus = state.S.copy()
+        particles = state.particles
         preset = np.array([[0.5, -0.2, 1.1, 0.7]])
         monkeypatch.setattr(GaussianBelief, "sample", lambda self, rng, count: preset)
         propose(state, estimate(state), rng)
 
         spec = KernelSpec("gaussian", sigma=1.2)
         K_pp = gram(spec, Ensemble(preset), Ensemble(preset))
-        K_px = gram(spec, Ensemble(preset), state.particles)
+        K_px = gram(spec, Ensemble(preset), particles)
         lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
         inv = np.linalg.inv(K_pp + lam * np.eye(4))
         Gamma = inv @ K_px
         R = inv @ K_pp - np.eye(4)
         S_exp = Gamma @ S_plus @ Gamma.T
-        assert np.array_equal(state.proposal_particles.particles, preset)
+        assert np.array_equal(state.particles.particles, preset)
         assert_allclose(state.w, Gamma @ w_plus, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.V, R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0 + R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
 
     def test_identity_rebasis_preserves_moments(self, monkeypatch):
         # when the proposal basis equals the current basis and the ridge is
@@ -367,7 +391,7 @@ class TestPropose:
         propose(state, estimate(state), rng)
         assert_allclose(state.S, S_before, atol=1e-6)
         assert_allclose(state.w, w_before, atol=1e-6)
-        assert_allclose(state.proposal_particles.particles @ state.w, mean_before, atol=1e-6)
+        assert_allclose(state.particles.particles @ state.w, mean_before, atol=1e-6)
 
     def test_gram_scale_is_mean_diagonal(self):
         E = Ensemble(np.array([[1.0, 2.0, 3.0]]))
@@ -485,13 +509,14 @@ class TestStep:
         rng = np.random.default_rng(7)
         state = init(model, cfg, rng)
         predict(state, model, rng)
+        predicted = state.particles.particles.copy()
         update(state, np.array([1.5]), model, rng)
         w_plus = state.w.copy()
         S_plus = state.S.copy()
         belief = estimate(state)
         propose(state, belief, rng)
         assert_allclose(
-            state.particles.particles[0],
+            predicted[0],
             [
                 10.526477678109957,
                 10.823993062260945,
@@ -558,27 +583,30 @@ class TestMultistepOracle:
         rng_run = np.random.default_rng(21)
         state = init(model, cfg, np.random.default_rng(77))
         rng_oracle = np.random.default_rng(21)
-        prop = state.proposal_particles.particles.copy()
-        cur = state.particles.particles.copy()
-        w_t = state.w.copy()
-        S_t = state.S.copy()
         m = cfg.M
+
+        def residual_cov(basis):
+            K = gram(spec_x, Ensemble(basis), Ensemble(basis))
+            lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
+            R = np.linalg.inv(K + lam * np.eye(m)) @ K - np.eye(m)
+            return R @ R.T / m
+
+        prop = state.particles.particles.copy()
+        w_t = state.w.copy()
+        S_t = np.eye(m) / m + residual_cov(prop)
 
         for n in range(3):
             predict(state, model, rng_run)
             update(state, ys[:, n], model, rng_run)
+            run_cur = state.particles.particles.copy()
             run_w_plus = state.w.copy()
             run_S_plus = state.S.copy()
             propose(state, estimate(state), rng_run)
 
             noise = model.sample_process_noise(rng_oracle, m)
             cur = model.process(prop, noise, n + 1)
-            K = gram(spec_x, Ensemble(prop), Ensemble(prop))
-            lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
-            T = np.linalg.inv(K + lam * np.eye(m)) @ K
-            R = T - np.eye(m)
             w_minus = w_t
-            S_minus = S_t + R @ R.T / m
+            S_minus = S_t
 
             v = model.sample_measurement_noise(rng_oracle, m)
             obs = model.measure(cur, v)
@@ -597,11 +625,11 @@ class TestMultistepOracle:
             Gamma = np.linalg.inv(K_pp + lam * np.eye(m)) @ K_px
             w_t = Gamma @ w_plus
             S_t = Gamma @ S_plus @ Gamma.T
-            S_t = (S_t + S_t.T) / 2.0
+            S_t = (S_t + S_t.T) / 2.0 + residual_cov(prop)
 
-            assert_allclose(state.particles.particles, cur, rtol=1e-10)
+            assert_allclose(run_cur, cur, rtol=1e-10)
             assert_allclose(run_w_plus, w_plus, rtol=1e-7, atol=1e-10)
             assert_allclose(run_S_plus, S_plus, rtol=1e-7, atol=1e-10)
-            assert_allclose(state.proposal_particles.particles, prop, rtol=1e-7, atol=1e-10)
+            assert_allclose(state.particles.particles, prop, rtol=1e-7, atol=1e-10)
             assert_allclose(state.w, w_t, rtol=1e-6, atol=1e-9)
             assert_allclose(state.S, S_t, rtol=1e-6, atol=1e-9)

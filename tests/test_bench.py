@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo benchmark harness and its CLI."""
 
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +391,35 @@ class TestCli:
             ]
         )
         assert rc == 3
+
+
+class TestTraceHooks:
+    def test_tracer_installs_and_restores_every_patch(self):
+        # perfbench's tracer wraps kkbench functions by module attribute; a
+        # renamed lookup would make its install step raise
+        import kkbench
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+
+        originals = []
+
+        class RecordingPatches(tracing.Patches):
+            def set(self, owner, name, value):
+                originals.append((owner, name, getattr(owner, name)))
+                super().set(owner, name, value)
+
+        patches = RecordingPatches()
+        try:
+            tracing.Tracer().install(kkbench, patches)
+            assert all(getattr(owner, name) is not fn for owner, name, fn in originals)
+        finally:
+            patches.restore()
+        assert originals
+        for owner, name, original in originals:
+            assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
 
 
 @pytest.mark.slow
