@@ -50,7 +50,6 @@ from .kernels import (
     SingularMatrixError,
     extract_moments_poly,
     gram,
-    kernel_eval,
     project_moments,
     psd_repair,
     resolve_bandwidth,
@@ -66,76 +65,9 @@ from .models import (
     build_model,
     ct_noise_cov,
     ct_transition,
-    export_trajectory_csv,
-    import_trajectory_csv,
     simulate,
     ungm,
     wrap_angle,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AkkfConfig",
-    "AkkfState",
-    "DegenerateWeightsError",
-    "Ensemble",
-    "FilterDivergedError",
-    "GaussianBelief",
-    "KernelSpec",
-    "KkrModel",
-    "FILTERS",
-    "MetricsSummary",
-    "PfState",
-    "RunRecord",
-    "SCENARIOS",
-    "ScenarioConfig",
-    "SimulationDivergedError",
-    "SingularMatrixError",
-    "StateSpaceModel",
-    "Trajectory",
-    "UkfState",
-    "bearing",
-    "bot_ct",
-    "bot_cv",
-    "build_model",
-    "ct_noise_cov",
-    "ct_transition",
-    "estimate",
-    "export_trajectory_csv",
-    "extract_moments_poly",
-    "filter_sequence",
-    "gain_update",
-    "gpf_step",
-    "gram",
-    "import_trajectory_csv",
-    "init",
-    "kernel_eval",
-    "kkr_fit",
-    "kkr_step",
-    "lmse",
-    "mse",
-    "pf_init",
-    "pf_step",
-    "predict",
-    "project_moments",
-    "propose",
-    "psd_repair",
-    "read_run_csv",
-    "resolve_bandwidth",
-    "ridge_solve",
-    "run_mc",
-    "run_one",
-    "scenario_metric",
-    "simulate",
-    "step",
-    "summarize",
-    "sweep",
-    "systematic_resample",
-    "ukf_step",
-    "ungm",
-    "update",
-    "wrap_angle",
-    "write_run_csv",
-    "write_summary_csv",
-]

@@ -60,14 +60,12 @@ class UkfState:
 class KkrModel:
     """Fitted kernel recursion: training ensembles and learned operators."""
 
-    predecessors: Ensemble
     states: Ensemble
     observations: Ensemble
     T: np.ndarray
     V: np.ndarray
     G_yy: np.ndarray
     obs_kernel: KernelSpec
-    lambda_pred: float
     kappa: float
 
 
@@ -228,7 +226,7 @@ def kkr_fit(
     training data.
     """
     predecessors, states, observations = (
-        e if isinstance(e, Ensemble) else Ensemble(np.asarray(e, dtype=float))
+        e if isinstance(e, Ensemble) else Ensemble(e)
         for e in triples
     )
     if not (predecessors.count == states.count == observations.count):
@@ -243,14 +241,12 @@ def kkr_fit(
     V = (residual @ residual.T) / predecessors.count
     G = gram(obs_kernel, observations, observations)
     return KkrModel(
-        predecessors=predecessors,
         states=states,
         observations=observations,
         T=T,
         V=V,
         G_yy=G,
         obs_kernel=obs_kernel,
-        lambda_pred=lambda_pred,
         kappa=kappa,
     )
 

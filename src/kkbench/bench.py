@@ -187,9 +187,8 @@ def run_one(cfg: ScenarioConfig, r: int) -> RunRecord:
     """
     rng = realization_rng(cfg.seed, r)
     model = build_model(cfg.scenario, cfg.horizon)
-    horizon = cfg.horizon if cfg.horizon is not None else model.default_horizon
     try:
-        trajectory = simulate(model, horizon, rng)
+        trajectory = simulate(model, model.default_horizon, rng)
     except SimulationDivergedError:
         return RunRecord(r, None, float("nan"), 0.0, True)
     start = time.perf_counter()

@@ -78,9 +78,6 @@ class Ensemble:
     def count(self) -> int:
         return self.particles.shape[1]
 
-    def col(self, i: int) -> np.ndarray:
-        return self.particles[:, i]
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -119,26 +116,6 @@ class GaussianBelief:
         return self.mean[:, None] + root @ z
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
-    """Evaluate k(x, x2) for a single pair of vectors."""
-    if not spec.resolved:
-        raise ValueError("gaussian bandwidth is unresolved")
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape:
-        raise ValueError("inputs must share a dimension")
-    if not (np.isfinite(x).all() and np.isfinite(x2).all()):
-        raise ValueError("inputs must be finite")
-    if spec.kind == "linear":
-        return float(x @ x2)
-    if spec.kind == "quadratic":
-        return float((x @ x2 + spec.c) ** 2)
-    if spec.kind == "quartic":
-        return float((x @ x2 + spec.c) ** 4)
-    diff = x - x2
-    return float(np.exp(-(diff @ diff) / spec.sigma**2))
-
-
 def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
     """Fix a Gaussian bandwidth by the median heuristic on an ensemble.
 
@@ -156,7 +133,7 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
 
 
 def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
-    """Assemble the Gram matrix with entries k(A.col(i), B.col(j)).
+    """Assemble the Gram matrix K[i, j] = k(a_i, b_j) over the particles of A and B.
 
     A Gram of an ensemble against itself is symmetrized exactly.
     """

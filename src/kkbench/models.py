@@ -9,7 +9,6 @@ stay model-agnostic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -82,10 +81,6 @@ class Trajectory:
             raise ValueError("states and observations must be 2-D")
         if self.states.shape[1] != self.observations.shape[1]:
             raise ValueError("states and observations must share the horizon")
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[1]
 
 
 def wrap_angle(delta):
@@ -260,21 +255,22 @@ CT_RATE_STD = 1e-2
 CT_RATE_PRIOR_HIGH = math.pi / 6.0
 
 
-def ct_transition(omega: float, ts: float = 1.0) -> np.ndarray:
+def ct_transition(omega: float) -> np.ndarray:
     """Coordinated-turn transition matrix for the position/velocity block.
+
+    The sampling interval is 1, as in ``CV_F``.
 
     Below ``CT_OMEGA_EPS`` the entries switch to their omega -> 0 Taylor
     limits, which is the constant-velocity matrix.
     """
     if abs(omega) < CT_OMEGA_EPS:
-        sin_w = ts
+        sin_w = 1.0
         cos_flat = 0.0
         c = 1.0
         s = 0.0
     else:
-        wt = omega * ts
-        c = math.cos(wt)
-        s = math.sin(wt)
+        c = math.cos(omega)
+        s = math.sin(omega)
         sin_w = s / omega
         cos_flat = (1.0 - c) / omega
     return np.array(
@@ -287,28 +283,27 @@ def ct_transition(omega: float, ts: float = 1.0) -> np.ndarray:
     )
 
 
-def ct_noise_cov(omega: float, ts: float = 1.0) -> np.ndarray:
+def ct_noise_cov(omega: float) -> np.ndarray:
     """Unit-intensity noise covariance of the coordinated-turn block.
 
-    Entries follow the printed omega-dependent matrix, with each entry's
-    omega -> 0 limit below ``CT_OMEGA_EPS``.
+    Entries follow the printed omega-dependent matrix at sampling interval 1,
+    with each entry's omega -> 0 limit below ``CT_OMEGA_EPS``.
     """
     if abs(omega) < CT_OMEGA_EPS:
-        a3 = ts**3 / 6.0  # (wT - sin wT)/w^3
-        a2 = 0.0          # (wT - sin wT)/w^2
-        b2 = ts**2 / 2.0  # (1 - cos wT)/w^2
+        a3 = 1.0 / 6.0  # (w - sin w)/w^3
+        a2 = 0.0        # (w - sin w)/w^2
+        b2 = 0.5        # (1 - cos w)/w^2
     else:
-        wt = omega * ts
-        lag = wt - math.sin(wt)
+        lag = omega - math.sin(omega)
         a3 = lag / omega**3
         a2 = lag / omega**2
-        b2 = (1.0 - math.cos(wt)) / omega**2
+        b2 = (1.0 - math.cos(omega)) / omega**2
     return np.array(
         [
             [2.0 * a3, b2, 0.0, a2],
-            [b2, ts, -a3, 0.0],
+            [b2, 1.0, -a3, 0.0],
             [0.0, -a3, 2.0 * a3, b2],
-            [a2, 0.0, b2, ts],
+            [a2, 0.0, b2, 1.0],
         ]
     )
 
@@ -419,38 +414,3 @@ def simulate(model: StateSpaceModel, N: int, rng: np.random.Generator) -> Trajec
         observations[:, n - 1 : n] = model.measure(x, model.sample_measurement_noise(rng, 1))
         states[:, n - 1 : n] = x
     return Trajectory(states, observations)
-
-
-def export_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write a trajectory as CSV with header n, x1..xd, y1..yd."""
-    d_x = trajectory.states.shape[0]
-    d_y = trajectory.observations.shape[0]
-    header = (
-        ["n"]
-        + [f"x{i}" for i in range(1, d_x + 1)]
-        + [f"y{i}" for i in range(1, d_y + 1)]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n in range(trajectory.horizon):
-            row = [n + 1]
-            row.extend(repr(float(v)) for v in trajectory.states[:, n])
-            row.extend(repr(float(v)) for v in trajectory.observations[:, n])
-            writer.writerow(row)
-
-
-def import_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory written by :func:`export_trajectory_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d_x = sum(1 for name in header if name.startswith("x"))
-        d_y = sum(1 for name in header if name.startswith("y"))
-        states = []
-        observations = []
-        for row in reader:
-            values = [float(v) for v in row[1:]]
-            states.append(values[:d_x])
-            observations.append(values[d_x:])
-    return Trajectory(np.array(states).T, np.array(observations).T)

@@ -12,7 +12,6 @@ from kkbench import (
     SingularMatrixError,
     extract_moments_poly,
     gram,
-    kernel_eval,
     project_moments,
     psd_repair,
     resolve_bandwidth,
@@ -30,6 +29,24 @@ def make_spec(kind):
     if kind == "gaussian":
         return KernelSpec(kind, sigma=1.3)
     return KernelSpec(kind, c=0.7)
+
+
+def kernel_eval(spec, x, x2):
+    """Scalar oracle for one Gram entry: k(x, x2) for a single pair of vectors."""
+    if spec.kind == "linear":
+        return float(x @ x2)
+    if spec.kind == "quadratic":
+        return float((x @ x2 + spec.c) ** 2)
+    if spec.kind == "quartic":
+        return float((x @ x2 + spec.c) ** 4)
+    diff = x - x2
+    return float(np.exp(-(diff @ diff) / spec.sigma**2))
+
+
+def gram_entry(spec, x, x2):
+    """k(x, x2) through ``gram`` on two one-particle ensembles."""
+    A, B = (Ensemble(np.reshape(v, (-1, 1))) for v in (x, x2))
+    return gram(spec, A, B)[0, 0]
 
 
 class TestKernelSpec:
@@ -55,36 +72,24 @@ class TestKernelEval:
     def test_gaussian_zero_distance_is_one(self):
         x = np.array([0.3, -1.2])
         for sigma in (0.1, 1.0, 57.0):
-            assert kernel_eval(KernelSpec("gaussian", sigma=sigma), x, x) == 1.0
+            assert gram_entry(KernelSpec("gaussian", sigma=sigma), x, x) == 1.0
 
     def test_quadratic_orthogonal_vectors(self):
         spec = KernelSpec("quadratic", c=1.0)
-        assert kernel_eval(spec, [1.0, 0.0], [0.0, 1.0]) == 1.0
+        assert gram_entry(spec, [1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_quartic_c0(self):
         spec = KernelSpec("quartic", c=0.0)
-        assert kernel_eval(spec, [1.0, 1.0], [1.0, 1.0]) == 16.0
+        assert gram_entry(spec, [1.0, 1.0], [1.0, 1.0]) == 16.0
 
     def test_linear_is_dot_product(self):
-        assert kernel_eval(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert gram_entry(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_gaussian_matches_formula(self):
         # exp(-||x - x'||^2 / sigma^2), no factor of 2 in the denominator
         spec = KernelSpec("gaussian", sigma=2.0)
-        got = kernel_eval(spec, [0.0], [1.0])
+        got = gram_entry(spec, [0.0], [1.0])
         assert_allclose(got, np.exp(-1.0 / 4.0), rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("linear"), [1.0], [1.0, 2.0])
-
-    def test_nonfinite_input(self):
-        with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("linear"), [np.nan], [1.0])
-
-    def test_unresolved_bandwidth(self):
-        with pytest.raises(ValueError):
-            kernel_eval(KernelSpec("gaussian"), [1.0], [1.0])
 
 
 class TestGram:
@@ -116,13 +121,20 @@ class TestGram:
             for i in range(4):
                 for j in range(3):
                     assert_allclose(
-                        K[i, j], kernel_eval(spec, A.col(i), B.col(j)), rtol=1e-12
+                        K[i, j],
+                        kernel_eval(spec, A.particles[:, i], B.particles[:, j]),
+                        rtol=1e-12,
                     )
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
             gram(KernelSpec("linear"), random_ensemble(rng, 2, 3), random_ensemble(rng, 3, 3))
+
+    def test_unresolved_bandwidth(self):
+        E = Ensemble(np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            gram(KernelSpec("gaussian"), E, E)
 
     def test_shapes_recorded(self):
         rng = np.random.default_rng(3)
@@ -265,7 +277,7 @@ class TestExtractMomentsPoly:
         w = np.zeros(4)
         w[2] = 1.0
         belief = extract_moments_poly(KernelSpec("quartic"), E, w)
-        assert_allclose(belief.mean, E.col(2), rtol=1e-15)
+        assert_allclose(belief.mean, E.particles[:, 2], rtol=1e-15)
         assert_allclose(belief.cov, np.zeros((3, 3)), atol=1e-12)
 
     def test_explicit_feature_oracle_2d(self):
@@ -364,10 +376,6 @@ class TestEnsemble:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Ensemble(np.array([[1.0, np.nan]]))
-
-    def test_col(self):
-        E = Ensemble(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert_array_equal(E.col(1), [2.0, 4.0])
 
 
 class TestGaussianBelief:

@@ -1,4 +1,4 @@
-"""Benchmark models: growth model, bearings-only setups, simulation, CSV."""
+"""Benchmark models: growth model, bearings-only setups, simulation."""
 
 import math
 
@@ -19,8 +19,6 @@ from kkbench import (
     build_model,
     ct_noise_cov,
     ct_transition,
-    export_trajectory_csv,
-    import_trajectory_csv,
     psd_repair,
     simulate,
     ungm,
@@ -367,28 +365,8 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(toy_model(), 0, np.random.default_rng(0))
 
-    def test_horizon_property(self):
-        traj = simulate(toy_model(), 4, np.random.default_rng(0))
-        assert traj.horizon == 4
 
-
-class TestTrajectoryCsv:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        model = bot_cv()
-        traj = simulate(model, 12, np.random.default_rng(3))
-        path = tmp_path / "traj.csv"
-        export_trajectory_csv(traj, path)
-        back = import_trajectory_csv(path)
-        assert_array_equal(back.states, traj.states)
-        assert_array_equal(back.observations, traj.observations)
-
-    def test_header_format(self, tmp_path):
-        traj = Trajectory(np.zeros((2, 1)), np.zeros((1, 1)))
-        path = tmp_path / "traj.csv"
-        export_trajectory_csv(traj, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "n,x1,x2,y1"
-
+class TestTrajectory:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((2, 3)), np.zeros((1, 4)))
