@@ -23,12 +23,23 @@ from .kernels import (
     POLY_KINDS,
     SingularMatrixError,
     extract_moments_poly,
+    feature_dim,
+    feature_map,
     gram,
+    low_rank_factor,
     project_moments,
     resolve_bandwidth,
     ridge_solve,
 )
 from .models import StateSpaceModel
+
+# A solve goes through an exact rank-r factor of its M x M matrix only when
+# r is at most this share of M.  The factored algebra costs O(M^2 r) where
+# the dense one costs O(M^3), but it spends several M x r x M products that
+# the dense path does not; at r = M/2 they already cost about what the
+# dense Cholesky and products they replace do, so past that share the
+# dense path stays.
+LOW_RANK_MAX_SHARE = 0.5
 
 
 class FilterDivergedError(RuntimeError):
@@ -88,19 +99,42 @@ def gain_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gain solve and weight-space measurement update.
 
-    Computes Q = S_minus (G_yy S_minus + kappa I)^-1 by solving the
-    transposed system instead of forming the inverse, then applies
+    With Q = S_minus (G_yy S_minus + kappa I)^-1, applies
     w_plus = w_minus + Q (g_vec - G_yy w_minus) and
     S_plus = S_minus - Q G_yy S_minus, symmetrized.
+
+    G_yy is first factored as F F^T by pivoted Cholesky
+    (:func:`~kkbench.kernels.low_rank_factor`).  When its rank r is at most
+    :data:`LOW_RANK_MAX_SHARE` of M, Woodbury's identity replaces the M x M
+    system by an r x r one: with U = S_minus F and W = kappa I + F^T U,
+    Q F = U W^-1, so S_plus = S_minus - U W^-1 U^T and
+    Q rho = (S_minus rho - U W^-1 U^T rho) / kappa for rho = g_vec - F F^T w_minus.
+    Otherwise Q comes from solving the transposed M x M system instead of
+    forming the inverse.  Either way a singular gain system raises
+    :class:`SingularMatrixError`.
     """
     m = S_minus.shape[0]
-    GS = G_yy @ S_minus
-    try:
-        Q = np.linalg.solve(GS.T + kappa * np.eye(m), S_minus.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("gain system: solve failed") from exc
-    w_plus = w_minus + Q @ (g_vec - G_yy @ w_minus)
-    S_plus = S_minus - Q @ GS
+    F = low_rank_factor(G_yy)
+    if F.shape[1] <= LOW_RANK_MAX_SHARE * m:
+        if kappa == 0:
+            # the system is then F F^T S_minus, of rank at most r < M
+            raise SingularMatrixError("gain system: singular without kappa at rank below M")
+        U = S_minus @ F
+        try:
+            Z = np.linalg.solve(kappa * np.eye(F.shape[1]) + F.T @ U, U.T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("gain system: solve failed") from exc
+        rho = g_vec - F @ (F.T @ w_minus)
+        w_plus = w_minus + (S_minus @ rho - U @ (Z @ rho)) / kappa
+        S_plus = S_minus - U @ Z
+    else:
+        GS = G_yy @ S_minus
+        try:
+            Q = np.linalg.solve(GS.T + kappa * np.eye(m), S_minus.T).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("gain system: solve failed") from exc
+        w_plus = w_minus + Q @ (g_vec - G_yy @ w_minus)
+        S_plus = S_minus - Q @ GS
     return w_plus, (S_plus + S_plus.T) / 2.0
 
 
@@ -112,9 +146,47 @@ def _gram_scale(K: np.ndarray) -> float:
     return float(np.mean(np.diag(K)))
 
 
-def _rebasis(
-    cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class BasisChange:
+    """Change of basis onto a proposal ensemble, dense or through its features.
+
+    Dense: ``core`` is Gamma (M x M_x), which maps weights over the old
+    particles onto the M proposals, and ``residual`` is V (M x M), the
+    proposal basis's propagation residual.  Factored, with the proposals'
+    feature map ``features`` F (r x M): Gamma = F^T core and
+    V = F^T residual F + I/M, with core r x M_x and residual r x r.
+    """
+
+    core: np.ndarray
+    residual: np.ndarray
+    features: np.ndarray | None = None
+
+    @property
+    def V(self) -> np.ndarray:
+        F = self.features
+        if F is None:
+            return self.residual
+        V = F.T @ self.residual @ F
+        m = F.shape[1]
+        return (V + V.T) / 2.0 + np.eye(m) / m
+
+    def carry(self, w: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma w and the symmetrized Gamma S Gamma^T + V.
+
+        Factored, both go through the r x r core:
+        Gamma S Gamma^T + V = F^T (core S core^T + residual) F + I/M,
+        so no M x M x M product is formed.
+        """
+        F, core = self.features, self.core
+        if F is None:
+            S = core @ S @ core.T
+            return core @ w, (S + S.T) / 2.0 + self.residual
+        S = F.T @ (core @ S @ core.T + self.residual) @ F
+        m = F.shape[1]
+        return F.T @ (core @ w), (S + S.T) / 2.0 + np.eye(m) / m
+
+
+def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> BasisChange:
     """Change of basis onto ``proposals`` and their propagation residual.
 
     One ridge solve on the proposal self-Gram K serves both: its stacked
@@ -123,15 +195,33 @@ def _rebasis(
     T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
     the finite-sample propagation error of the proposal basis.  When
     ``particles is proposals`` Gamma is T itself, so the solve takes K alone.
+
+    A polynomial kernel whose feature count r = C(d+p, p) is at most
+    :data:`LOW_RANK_MAX_SHARE` of M solves in feature space instead.  With
+    K = F^T F, K_px = F^T F_x, C = F F^T and A = (C + lambda I)^-1, the
+    push-through identity gives Gamma = F^T A F_x and T = F^T A F, so
+    (T - I)^2 = F^T (A C A - 2 A) F + I.  The r x r ridge solve against the
+    identity gives A (one Cholesky factor, as on the dense path), and
+    A F_x and A C A are plain products: with one BLAS thread, the
+    triangular solves of M-column right-hand sides cost several times the
+    matrix products.  lambda uses trace(C)/M, the same mean Gram diagonal
+    as the dense solve.
     """
     spec = resolve_bandwidth(cfg.state_kernel, proposals)
+    m = proposals.count
+    if spec.kind in POLY_KINDS and feature_dim(spec, proposals.dim) <= LOW_RANK_MAX_SHARE * m:
+        F = feature_map(spec, proposals)
+        F_x = F if particles is proposals else feature_map(spec, particles)
+        C = F @ F.T
+        lam = cfg.lambda_tilde * float(np.trace(C)) / m
+        A = ridge_solve(C, lam, np.eye(len(C)), name="proposal feature gram")
+        return BasisChange(A @ F_x, (A @ C @ A - 2.0 * A) / m, F)
     K_pp = gram(spec, proposals, proposals)
     rhs = K_pp if particles is proposals else np.hstack([gram(spec, proposals, particles), K_pp])
     lam = cfg.lambda_tilde * _gram_scale(K_pp)
     X = ridge_solve(K_pp, lam, rhs, name="proposal self-gram")
-    m = proposals.count
     residual = X[:, -m:] - np.eye(m)
-    return X[:, : particles.count], (residual @ residual.T) / m
+    return BasisChange(X[:, : particles.count], (residual @ residual.T) / m)
 
 
 def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> AkkfState:
@@ -142,7 +232,7 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     """
     columns = np.column_stack([model.sample_prior(rng) for _ in range(cfg.M)])
     particles = Ensemble(columns)
-    _, V = _rebasis(cfg, particles, particles)
+    V = _rebasis(cfg, particles, particles).V
     return AkkfState(
         config=cfg,
         particles=particles,
@@ -216,11 +306,9 @@ def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) 
     proposal basis's propagation residual is added to the rebased ``S``.
     """
     proposals = Ensemble(belief.sample(rng, state.config.M))
-    Gamma, V = _rebasis(state.config, proposals, state.particles)
-    S = Gamma @ state.S @ Gamma.T
+    basis = _rebasis(state.config, proposals, state.particles)
+    state.w, state.S = basis.carry(state.w, state.S)
     state.particles = proposals
-    state.w = Gamma @ state.w
-    state.S = (S + S.T) / 2.0 + V
     return state
 
 

@@ -42,6 +42,7 @@ SUMMARY_HEADER = [
     "metric_std",
     "diverged_count",
     "runtime_mean_s",
+    "metric_se",
 ]
 
 
@@ -87,12 +88,17 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    """Aggregate over realizations; metric moments skip diverged runs."""
+    """Aggregate over realizations; metric moments skip diverged runs.
+
+    ``metric_se`` is the Monte Carlo standard error of ``metric_mean``,
+    std/sqrt(n) over the n kept runs.
+    """
 
     metric_mean: float
     metric_std: float
     diverged_count: int
     runtime_mean_s: float
+    metric_se: float
 
 
 def mse(truth: np.ndarray, est: np.ndarray) -> float:
@@ -203,17 +209,17 @@ def run_one(cfg: ScenarioConfig, r: int) -> RunRecord:
 
 
 def summarize(records: list[RunRecord]) -> MetricsSummary:
-    """Metric mean/std over non-diverged runs; runtime mean over all runs."""
+    """Metric mean/std/SE over non-diverged runs; runtime mean over all runs."""
     metrics = [rec.metric for rec in records if not rec.diverged]
     if metrics:
         mean = float(np.mean(metrics))
         std = float(np.std(metrics, ddof=1)) if len(metrics) > 1 else 0.0
+        se = std / len(metrics) ** 0.5
     else:
-        mean = float("nan")
-        std = float("nan")
+        mean = std = se = float("nan")
     runtime = float(np.mean([rec.runtime_s for rec in records]))
     diverged = sum(rec.diverged for rec in records)
-    return MetricsSummary(mean, std, diverged, runtime)
+    return MetricsSummary(mean, std, diverged, runtime, se)
 
 
 def run_mc(cfg: ScenarioConfig, workers: int = 1) -> tuple[list[RunRecord], MetricsSummary]:
@@ -303,5 +309,6 @@ def write_summary_csv(path, rows: list[tuple[ScenarioConfig, MetricsSummary]]) -
                     repr(summary.metric_std),
                     summary.diverged_count,
                     repr(summary.runtime_mean_s),
+                    repr(summary.metric_se),
                 ]
             )

@@ -72,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{cfg.scenario} {cfg.filter} M={cfg.M}: "
         f"metric mean {summary.metric_mean:.6g} std {summary.metric_std:.6g} "
-        f"diverged {summary.diverged_count}/{cfg.realizations} "
+        f"se {summary.metric_se:.3g} diverged {summary.diverged_count}/{cfg.realizations} "
         f"runtime {summary.runtime_mean_s:.4g} s"
     )
     if summary.diverged_count == cfg.realizations:

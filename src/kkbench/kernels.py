@@ -2,21 +2,36 @@
 
 State beliefs in this package are carried as weight vectors (and weight
 covariances) over particle ensembles.  This module supplies the kernel
-plumbing those representations rest on: Gram matrix assembly, ridge
-regularized linear solves with jitter escalation, and the extraction of
-data-space means and covariances from weighted ensembles.
+plumbing those representations rest on: Gram matrix assembly, exact
+low-rank factors of Gram matrices (the explicit polynomial feature map and
+a pivoted Cholesky factor), ridge regularized linear solves with jitter
+escalation, and the extraction of data-space means and covariances from
+weighted ensembles.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpstrf
 from scipy.spatial.distance import cdist, pdist
 
 KERNEL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
 POLY_KINDS = ("quadratic", "quartic")
+POLY_DEGREE = {"quadratic": 2, "quartic": 4}
+# Pivoted Cholesky stops once every remaining Schur-complement diagonal is
+# at most this fraction of the mean diagonal.  The dropped remainder
+# K - F F^T is PSD, so none of its entries exceeds that bound either: a few
+# hundred ulps of the kernel scale, far below the ridge and gain
+# regularizers (1e-4 and up), yet above the rounding noise that would
+# otherwise keep the factor growing to full rank.
+RANK_RTOL = 1e-13
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -153,6 +168,60 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     if A is B or (A.count == B.count and np.array_equal(A.particles, B.particles)):
         values = (values + values.T) / 2.0
     return values
+
+
+def feature_dim(spec: KernelSpec, dim: int) -> int:
+    """Rows of the polynomial feature map on dim-dimensional states: C(dim+p, p)."""
+    return math.comb(dim + POLY_DEGREE[spec.kind], dim)
+
+
+@lru_cache(maxsize=None)
+def _monomials(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # the degree-p monomials in dim+1 variables, each as p variable indices,
+    # with the square roots of their multinomial coefficients p!/prod(k_i!)
+    index = np.array(list(itertools.combinations_with_replacement(range(dim + 1), degree)))
+    coef = [
+        math.factorial(degree) / math.prod(map(math.factorial, Counter(row).values()))
+        for row in index.tolist()
+    ]
+    root = np.sqrt(np.array(coef))
+    index.flags.writeable = root.flags.writeable = False
+    return index, root
+
+
+def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
+    """Explicit feature map Phi (r x M) of a polynomial kernel, Phi^T Phi = K.
+
+    (x.x' + c)^p = (z.z')^p over the augmented z = [x; sqrt(c)], and the
+    multinomial expansion of (z.z')^p makes each degree-p monomial z^a,
+    scaled by the square root of its multinomial coefficient, one feature.
+    That gives r = C(d+p, p) rows (:func:`feature_dim`); the table of
+    monomials is built once per (d, p).
+    """
+    if spec.kind not in POLY_KINDS:
+        raise ValueError("feature map applies to quadratic and quartic kernels")
+    index, root = _monomials(E.dim, POLY_DEGREE[spec.kind])
+    z = np.vstack([E.particles, np.full((1, E.count), math.sqrt(spec.c))])
+    phi = root[:, None] * z[index[:, 0]]
+    for k in range(1, index.shape[1]):
+        phi *= z[index[:, k]]
+    return phi
+
+
+def low_rank_factor(K: np.ndarray) -> np.ndarray:
+    """Factor F (M x r) of a PSD matrix, K = F F^T up to the rank tolerance.
+
+    LAPACK's pivoted Cholesky (``dpstrf``) takes the largest remaining
+    diagonal as the next pivot and stops once it is at most
+    :data:`RANK_RTOL` times the mean diagonal, so r is the numerical rank
+    and the cost is O(M r^2) when r is small.  A zero matrix has rank 0.
+    """
+    K = np.asarray(K, dtype=float)
+    tol = RANK_RTOL * float(np.mean(np.diag(K)))
+    c, piv, rank, _ = dpstrf(K, tol=tol, lower=1)
+    F = np.empty((K.shape[0], rank))
+    F[piv - 1] = np.tril(c[:, :rank])
+    return F
 
 
 def ridge_solve(K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matrix") -> np.ndarray:

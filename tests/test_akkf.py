@@ -29,8 +29,9 @@ from kkbench import (
     resolve_bandwidth,
     simulate,
 )
-from kkbench import akkf
+from kkbench import akkf, kernels
 from kkbench.akkf import _gram_scale, _rebasis, estimate, init, predict, propose, step, update
+from kkbench.kernels import low_rank_factor
 from kkbench.models import StateSpaceModel
 
 
@@ -181,7 +182,7 @@ class TestInit:
         assert state.n == 0
         assert state.particles.count == 6
         assert_allclose(state.w, np.full(6, 1.0 / 6.0))
-        _, V = _rebasis(cfg, state.particles, state.particles)
+        V = _rebasis(cfg, state.particles, state.particles).V
         assert_allclose(state.S, np.eye(6) / 6.0 + V)
         assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S", "n"]
 
@@ -633,3 +634,148 @@ class TestMultistepOracle:
             assert_allclose(state.particles.particles, prop, rtol=1e-7, atol=1e-10)
             assert_allclose(state.w, w_t, rtol=1e-6, atol=1e-9)
             assert_allclose(state.S, S_t, rtol=1e-6, atol=1e-9)
+
+
+def assert_close_normwise(actual, expected, rtol):
+    """|actual - expected| <= rtol * max|expected|, entry by entry."""
+    assert_allclose(actual, expected, rtol=0, atol=rtol * np.abs(expected).max())
+
+
+def prior_draws(scenario, m, rng, spread=1.0):
+    """m prior draws of a scenario, pulled towards the prior mean by ``spread``."""
+    model = build_model(scenario)
+    draws = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+    mean = model.prior_mean[:, None]
+    return Ensemble(mean + spread * (draws - mean))
+
+
+def dense_rebasis(cfg, proposals, particles):
+    """Gamma and V from the proposal self-Gram by a dense LU solve."""
+    K = gram(cfg.state_kernel, proposals, proposals)
+    K_px = gram(cfg.state_kernel, proposals, particles)
+    m = proposals.count
+    X = np.linalg.solve(K + cfg.lambda_tilde * float(np.mean(np.diag(K))) * np.eye(m), np.hstack([K_px, K]))
+    R = X[:, -m:] - np.eye(m)
+    return X[:, :-m], R @ R.T / m
+
+
+class TestLowRankRebasis:
+    @pytest.mark.parametrize("spread", [1.0, 0.1, 0.01])
+    def test_matches_dense_solve(self, spread):
+        # bot-cv's quartic kernel has C(4+4, 4) = 70 features, so the
+        # M=200 benchmark cell solves in feature space
+        rng = np.random.default_rng(31)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        particles = prior_draws("bot-cv", 200, rng, spread)
+        proposals = prior_draws("bot-cv", 200, rng, spread)
+        B = rng.standard_normal((200, 200))
+        S = B @ B.T / 200**2
+        w = rng.standard_normal(200) / 200
+
+        basis = _rebasis(cfg, proposals, particles)
+        Gamma, V = dense_rebasis(cfg, proposals, particles)
+        assert basis.features.shape == (70, 200)
+        Gamma_low = basis.features.T @ basis.core
+        assert_close_normwise(Gamma_low, Gamma, 1e-9)
+        assert_close_normwise(basis.V, V, 1e-9)
+        assert_close_normwise(Gamma_low @ S @ Gamma_low.T, Gamma @ S @ Gamma.T, 1e-9)
+        w_plus, S_plus = basis.carry(w, S)
+        S_exp = Gamma @ S @ Gamma.T
+        assert_close_normwise(w_plus, Gamma @ w, 1e-9)
+        assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0 + V, 1e-9)
+        assert np.array_equal(S_plus, S_plus.T)
+
+        # init's basis is its own particle set
+        _, V_self = dense_rebasis(cfg, proposals, proposals)
+        assert_close_normwise(_rebasis(cfg, proposals, proposals).V, V_self, 1e-9)
+
+    def test_goes_through_kernels_ridge_solve_and_cho_factor(self, monkeypatch):
+        # the r x r solve is the one factorization of the basis, on the
+        # lookups perfbench's tracer counts; no M x M Gram is built
+        factored, grams = [], []
+        real_factor, real_gram = kernels.cho_factor, akkf.gram
+
+        def recording_factor(a, *args, **kwargs):
+            factored.append(a.shape)
+            return real_factor(a, *args, **kwargs)
+
+        def counting_gram(spec, A, B):
+            grams.append((A.count, B.count))
+            return real_gram(spec, A, B)
+
+        monkeypatch.setattr(kernels, "cho_factor", recording_factor)
+        monkeypatch.setattr(akkf, "gram", counting_gram)
+        assert akkf.ridge_solve is kernels.ridge_solve
+        rng = np.random.default_rng(32)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        _rebasis(cfg, prior_draws("bot-cv", 200, rng), prior_draws("bot-cv", 200, rng))
+        assert factored == [(70, 70)]
+        assert grams == []
+
+    def test_bot_ct_quartic_stays_dense(self, monkeypatch):
+        # d = 5 gives r = C(9, 4) = 126 > M/2 at M=200
+        grams, solved = [], []
+        real_gram, real_solve = akkf.gram, akkf.ridge_solve
+
+        def counting_gram(spec, A, B):
+            grams.append((A.count, B.count))
+            return real_gram(spec, A, B)
+
+        def counting_solve(K, lam, B, name="gram matrix"):
+            solved.append(K.shape)
+            return real_solve(K, lam, B, name=name)
+
+        monkeypatch.setattr(akkf, "gram", counting_gram)
+        monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
+        rng = np.random.default_rng(33)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        basis = _rebasis(cfg, prior_draws("bot-ct", 200, rng), prior_draws("bot-ct", 200, rng))
+        assert basis.features is None
+        assert grams == [(200, 200), (200, 200)]
+        assert solved == [(200, 200)]
+
+    @pytest.mark.parametrize("m, factored", [(5, False), (6, True)])
+    def test_rank_rule_boundary(self, m, factored):
+        # ungm's quadratic kernel has r = 3 features: M=5 (the golden cell)
+        # keeps the dense solve, M=6 is the first to satisfy 2r <= M
+        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=m, lambda_tilde=1e-2)
+        rng = np.random.default_rng(34)
+        E = Ensemble(rng.standard_normal((1, m)) * 10.0)
+        basis = _rebasis(cfg, E, E)
+        assert (basis.features is not None) == factored
+        _, V = dense_rebasis(cfg, E, E)
+        assert_close_normwise(basis.V, V, 1e-9)
+
+
+class TestLowRankGain:
+    @pytest.mark.parametrize("m", [100, 200])
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-3, 1e-2])
+    def test_matches_dense_q_formula(self, m, kappa):
+        # bearings on bot-cv prior draws: the Gaussian observation Gram has
+        # numerical rank well below M/2, so Woodbury's r x r system is used
+        rng = np.random.default_rng(int(m / kappa))
+        model = build_model("bot-cv")
+        states = prior_draws("bot-cv", m, rng).particles
+        obs = Ensemble(model.measure(states, model.sample_measurement_noise(rng, m)))
+        spec = KernelSpec("gaussian", sigma=1.0)
+        G = gram(spec, obs, obs)
+        g = gram(spec, obs, Ensemble(model.measure(states[:, :1], np.zeros((1, 1)))))[:, 0]
+        B = rng.standard_normal((m, m))
+        S = np.eye(m) / m + B @ B.T / m**2
+        w = rng.standard_normal(m) / m
+        assert 2 * low_rank_factor(G).shape[1] <= m
+
+        Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
+        w_exp = w + Q @ (g - G @ w)
+        S_exp = S - Q @ G @ S
+        w_plus, S_plus = gain_update(w, S, G, g, kappa)
+        assert_close_normwise(w_plus, w_exp, 1e-9)
+        assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0, 1e-9)
+        assert np.array_equal(S_plus, S_plus.T)
+
+    def test_singular_low_rank_system_raises(self):
+        # rank 1 of M=4 without kappa: kappa I + F F^T S is singular
+        m = 4
+        G = np.ones((m, m))
+        with pytest.raises(SingularMatrixError, match="gain system"):
+            gain_update(np.zeros(m), np.eye(m), G, np.ones(m), 0.0)

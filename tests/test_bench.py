@@ -217,6 +217,19 @@ class TestSummarize:
         summary = summarize([RunRecord(0, None, 1.5, 0.1, False)])
         assert summary.metric_std == 0.0
 
+    def test_standard_error_over_kept_runs(self):
+        records = [
+            RunRecord(0, None, 1.0, 0.1, False),
+            RunRecord(1, None, 2.0, 0.1, False),
+            RunRecord(2, None, float("nan"), 0.1, True),
+            RunRecord(3, None, 6.0, 0.1, False),
+        ]
+        summary = summarize(records)
+        assert summary.metric_se == pytest.approx(np.std([1.0, 2.0, 6.0], ddof=1) / np.sqrt(3))
+        assert summary.metric_se == pytest.approx(summary.metric_std / np.sqrt(3))
+        assert summarize(records[:1]).metric_se == 0.0
+        assert np.isnan(summarize(records[2:3]).metric_se)
+
 
 class TestRunMc:
     def test_worker_count_does_not_change_results(self):
@@ -287,7 +300,7 @@ class TestCsvRoundtrip:
 
     def test_summary_csv(self, tmp_path):
         cfg = ScenarioConfig("bot-cv", "ukf", 1, 2, 9)
-        summary = MetricsSummary(1.25, 0.5, 1, 0.125)
+        summary = MetricsSummary(1.25, 0.5, 1, 0.125, 0.25)
         path = tmp_path / "summary.csv"
         write_summary_csv(path, [(cfg, summary)])
         with open(path, newline="") as fh:
@@ -300,6 +313,8 @@ class TestCsvRoundtrip:
         assert float(rows[0]["metric_std"]) == 0.5
         assert int(rows[0]["diverged_count"]) == 1
         assert float(rows[0]["runtime_mean_s"]) == 0.125
+        assert float(rows[0]["metric_se"]) == 0.25
+        assert list(rows[0])[-1] == "metric_se"
 
 
 class TestCli:
@@ -319,6 +334,13 @@ class TestCli:
         assert rc == 0
         assert len(read_run_csv(out)) == 2
         assert "metric mean" in capsys.readouterr().out
+
+    def test_run_line_prints_standard_error(self, tmp_path, capsys):
+        rc = main(["run", "--scenario", "ungm", "--filter", "pf", "--particles", "20",
+                   "--realizations", "3", "--seed", "0", "--out", str(tmp_path / "run.csv")])
+        summary = summarize(read_run_csv(tmp_path / "run.csv"))
+        assert rc == 0
+        assert f"se {summary.metric_se:.3g} " in capsys.readouterr().out
 
     def test_sweep_command_writes_summary(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
@@ -376,7 +398,7 @@ class TestCli:
 
         def fake_run_mc(cfg, workers=1):
             records = [RunRecord(0, None, float("nan"), 0.0, True)]
-            return records, MetricsSummary(float("nan"), float("nan"), 1, 0.0)
+            return records, MetricsSummary(float("nan"), float("nan"), 1, 0.0, float("nan"))
 
         monkeypatch.setattr(cli_mod, "run_mc", fake_run_mc)
         rc = main(

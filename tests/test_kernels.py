@@ -1,4 +1,6 @@
-"""Kernel plumbing: evaluation, Gram assembly, ridge solves, moment readout."""
+"""Kernel plumbing: evaluation, Gram assembly, low-rank factors, ridge solves, moment readout."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from kkbench import (
     resolve_bandwidth,
     ridge_solve,
 )
+from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
 
 ALL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
 
@@ -186,6 +189,66 @@ class TestResolveBandwidth:
         spec = KernelSpec("quartic", c=0.5)
         E = Ensemble(np.array([[0.0, 2.0]]))
         assert resolve_bandwidth(spec, E) is spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("quadratic", "quartic")),
+    d=st.integers(1, 5),
+    c=st.sampled_from((0.0, 0.5, 1.0)),
+    m=st.integers(1, 12),
+    scale=st.sampled_from((0.1, 1.0, 10.0)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_feature_map_reproduces_gram(kind, d, c, m, scale, seed):
+    # Phi^T Phi against gram entry by entry, relative to the Cauchy-Schwarz
+    # scale sqrt(K_ii K_jj) that bounds each entry
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(kind, c=c)
+    A, B = random_ensemble(rng, d, m, scale), random_ensemble(rng, d, m + 1, scale)
+    phi_a, phi_b = feature_map(spec, A), feature_map(spec, B)
+    p = {"quadratic": 2, "quartic": 4}[kind]
+    assert phi_a.shape == (math.comb(d + p, p), m) == (feature_dim(spec, d), m)
+    for X, Y, phi_x, phi_y in ((A, A, phi_a, phi_a), (A, B, phi_a, phi_b)):
+        K = gram(spec, X, Y)
+        bound = np.sqrt(np.outer((phi_x**2).sum(axis=0), (phi_y**2).sum(axis=0)))
+        assert (np.abs(phi_x.T @ phi_y - K) <= 1e-12 * bound).all()
+
+
+class TestFeatureMap:
+    def test_scalar_quadratic_features(self):
+        # (x x' + c)^2 = x^2 x'^2 + 2c x x' + c^2: features x^2, sqrt(2c) x, c
+        E = Ensemble(np.array([[2.0, -1.0]]))
+        phi = feature_map(KernelSpec("quadratic", c=0.5), E)
+        assert_allclose(phi, [[4.0, 1.0], [2.0, -1.0], [0.5, 0.5]], rtol=1e-15)
+
+    def test_non_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            feature_map(KernelSpec("gaussian", sigma=1.0), Ensemble(np.zeros((1, 2))))
+
+
+class TestLowRankFactor:
+    def test_exact_rank_recovered(self):
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((40, 6))
+        K = B @ B.T
+        F = low_rank_factor(K)
+        assert F.shape == (40, 6)
+        assert_allclose(F @ F.T, K, rtol=0, atol=1e-12 * np.abs(K).max())
+
+    def test_full_rank_and_zero(self):
+        assert low_rank_factor(np.eye(5)).shape == (5, 5)
+        assert low_rank_factor(np.zeros((4, 4))).shape == (4, 0)
+
+    def test_gaussian_gram_remainder_below_tolerance(self):
+        # the dropped remainder K - F F^T is PSD, so its entries are bounded
+        # by its largest diagonal, which the stopping rule caps
+        rng = np.random.default_rng(1)
+        E = Ensemble(rng.uniform(-np.pi, np.pi, (1, 200)))
+        K = gram(KernelSpec("gaussian", sigma=1.0), E, E)
+        F = low_rank_factor(K)
+        assert F.shape[1] <= 100
+        assert np.abs(K - F @ F.T).max() <= RANK_RTOL
 
 
 class TestRidgeSolve:
