@@ -33,12 +33,13 @@ from .kernels import (
 )
 from .models import StateSpaceModel
 
-# A solve goes through an exact rank-r factor of its M x M matrix only when
+# The change of basis solves in feature space only when the feature count
 # r is at most this share of M.  The factored algebra costs O(M^2 r) where
-# the dense one costs O(M^3), but it spends several M x r x M products that
-# the dense path does not; at r = M/2 they already cost about what the
-# dense Cholesky and products they replace do, so past that share the
-# dense path stays.
+# the dense ridge solve costs O(M^3), but it spends several M x r x M
+# products that the dense path does not; at r = M/2 they already cost
+# about what the dense Cholesky and products they replace do, so past that
+# share the dense ridge stays.  The gain solve has no such rule: it always
+# goes through its factor.
 LOW_RANK_MAX_SHARE = 0.5
 
 
@@ -103,38 +104,28 @@ def gain_update(
     w_plus = w_minus + Q (g_vec - G_yy w_minus) and
     S_plus = S_minus - Q G_yy S_minus, symmetrized.
 
-    G_yy is first factored as F F^T by pivoted Cholesky
-    (:func:`~kkbench.kernels.low_rank_factor`).  When its rank r is at most
-    :data:`LOW_RANK_MAX_SHARE` of M, Woodbury's identity replaces the M x M
-    system by an r x r one: with U = S_minus F and W = kappa I + F^T U,
-    Q F = U W^-1, so S_plus = S_minus - U W^-1 U^T and
-    Q rho = (S_minus rho - U W^-1 U^T rho) / kappa for rho = g_vec - F F^T w_minus.
-    Otherwise Q comes from solving the transposed M x M system instead of
-    forming the inverse.  Either way a singular gain system raises
+    G_yy is factored as F F^T by pivoted Cholesky
+    (:func:`~kkbench.kernels.low_rank_factor`), and Woodbury's identity
+    replaces the M x M system by an r x r one at every rank r: with
+    U = S_minus F and W = kappa I + F^T U, Q F = U W^-1, so
+    S_plus = S_minus - U W^-1 U^T and
+    Q rho = (S_minus rho - U W^-1 U^T rho) / kappa.  The innovation
+    rho = g_vec - G_yy w_minus takes the exact Gram, so a zero innovation
+    leaves the weights untouched.  The identity divides by kappa, so a
+    kappa that is not positive, like a failed r x r solve, raises
     :class:`SingularMatrixError`.
     """
-    m = S_minus.shape[0]
+    if not kappa > 0:
+        raise SingularMatrixError("gain system: kappa must be positive")
     F = low_rank_factor(G_yy)
-    if F.shape[1] <= LOW_RANK_MAX_SHARE * m:
-        if kappa == 0:
-            # the system is then F F^T S_minus, of rank at most r < M
-            raise SingularMatrixError("gain system: singular without kappa at rank below M")
-        U = S_minus @ F
-        try:
-            Z = np.linalg.solve(kappa * np.eye(F.shape[1]) + F.T @ U, U.T)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("gain system: solve failed") from exc
-        rho = g_vec - F @ (F.T @ w_minus)
-        w_plus = w_minus + (S_minus @ rho - U @ (Z @ rho)) / kappa
-        S_plus = S_minus - U @ Z
-    else:
-        GS = G_yy @ S_minus
-        try:
-            Q = np.linalg.solve(GS.T + kappa * np.eye(m), S_minus.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("gain system: solve failed") from exc
-        w_plus = w_minus + Q @ (g_vec - G_yy @ w_minus)
-        S_plus = S_minus - Q @ GS
+    U = S_minus @ F
+    try:
+        Z = np.linalg.solve(kappa * np.eye(F.shape[1]) + F.T @ U, U.T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("gain system: solve failed") from exc
+    rho = g_vec - G_yy @ w_minus
+    w_plus = w_minus + (S_minus @ rho - U @ (Z @ rho)) / kappa
+    S_plus = S_minus - U @ Z
     return w_plus, (S_plus + S_plus.T) / 2.0
 
 

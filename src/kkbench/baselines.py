@@ -84,6 +84,15 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(cumulative, positions)
 
 
+def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
+    """Weights proportional to exp(log_w), summing to one, shifted by the peak."""
+    peak = np.max(log_w)
+    if not np.isfinite(peak):
+        raise DegenerateWeightsError("all particle likelihoods vanished")
+    shifted = np.exp(log_w - peak)
+    return shifted / shifted.sum()
+
+
 def pf_step(
     state: PfState, y_n, model: StateSpaceModel, rng: np.random.Generator
 ) -> tuple[PfState, np.ndarray]:
@@ -101,11 +110,7 @@ def pf_step(
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     with np.errstate(divide="ignore"):
         log_w = np.log(state.weights) + log_lik
-    peak = np.max(log_w)
-    if not np.isfinite(peak):
-        raise DegenerateWeightsError("all particle likelihoods vanished")
-    shifted = np.exp(log_w - peak)
-    weights = shifted / shifted.sum()
+    weights = _normalize_log_weights(log_w)
     estimate = columns @ weights
     indices = systematic_resample(weights, rng)
     resampled = PfState(Ensemble(columns[:, indices]), np.full(m, 1.0 / m), n)
@@ -132,11 +137,7 @@ def gpf_step(
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
-    peak = np.max(log_lik)
-    if not np.isfinite(peak):
-        raise DegenerateWeightsError("all particle likelihoods vanished")
-    shifted = np.exp(log_lik - peak)
-    weights = shifted / shifted.sum()
+    weights = _normalize_log_weights(log_lik)
     mean = columns @ weights
     raw = (columns * weights) @ columns.T
     return GaussianBelief(mean, psd_repair(raw - np.outer(mean, mean)))
@@ -223,7 +224,8 @@ def kkr_fit(
     predecessor self-Gram and the predecessor-to-successor cross-Gram; V is
     the finite-sample transition residual on the same basis.  Kernels
     default to Gaussians with median-heuristic bandwidths resolved on the
-    training data.
+    training data.  ``kappa``, the gain regularizer of every later
+    :func:`kkr_step`, must be positive.
     """
     predecessors, states, observations = (
         e if isinstance(e, Ensemble) else Ensemble(e)
@@ -231,6 +233,8 @@ def kkr_fit(
     )
     if not (predecessors.count == states.count == observations.count):
         raise ValueError("training ensembles must share the particle count")
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     state_kernel = resolve_bandwidth(state_kernel or KernelSpec("gaussian"), predecessors)
     obs_kernel = resolve_bandwidth(obs_kernel or KernelSpec("gaussian"), observations)
     K_pp = gram(state_kernel, predecessors, predecessors)

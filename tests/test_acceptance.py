@@ -66,7 +66,8 @@ def test_criterion_2_growth_model_small_ensemble_ordering():
     text = _line(
         "criterion 2",
         ok,
-        f"ungm M=20 MSE akkf={a:.3f} pf={p:.3f} gpf={g:.3f} "
+        f"ungm M=20 MSE akkf={a:.3f}±{akkf.metric_se:.3f} pf={p:.3f}±{pf.metric_se:.3f} "
+        f"gpf={g:.3f}±{gpf.metric_se:.3f} "
         f"(need pf,gpf >= 1.1*akkf={1.1 * a:.3f}), {elapsed:.1f}s (budget 180s)",
     )
     assert p >= 1.1 * a, text
@@ -91,8 +92,10 @@ def test_criterion_3_bearings_cv_benchmark_approach():
     text = _line(
         "criterion 3",
         ok,
-        f"bot-cv LMSE akkf@20={akkf20.metric_mean:.4f} vs pf@5000+0.4={bound20:.4f}; "
-        f"akkf@50={akkf50.metric_mean:.4f} vs gpf@50-0.5={bound50:.4f}, "
+        f"bot-cv LMSE akkf@20={akkf20.metric_mean:.4f}±{akkf20.metric_se:.4f} "
+        f"vs pf@5000+0.4={bound20:.4f}±{pf5000.metric_se:.4f}; "
+        f"akkf@50={akkf50.metric_mean:.4f}±{akkf50.metric_se:.4f} "
+        f"vs gpf@50-0.5={bound50:.4f}±{gpf50.metric_se:.4f}, "
         f"{elapsed:.1f}s (budget 600s)",
     )
     assert akkf20.metric_mean <= bound20, text
@@ -102,19 +105,20 @@ def test_criterion_3_bearings_cv_benchmark_approach():
 
 def test_criterion_4_ridge_insensitivity():
     start = time.perf_counter()
-    means = []
+    means, ses = [], []
     for ridge in (1e-4, 1e-3, 1e-2):
         _, summary = _cell("bot-cv", "akkf-quartic", 50, lam=ridge, kappa=ridge)
         means.append(summary.metric_mean)
+        ses.append(summary.metric_se)
     elapsed = time.perf_counter() - start
     spread = max(means) - min(means)
     ok = spread <= 0.5 and elapsed < 300.0
+    lmse = "/".join(f"{mean:.4f}±{se:.4f}" for mean, se in zip(means, ses))
     text = _line(
         "criterion 4",
         ok,
-        f"bot-cv akkf-quartic M=50 LMSE over ridge 1e-4/1e-3/1e-2 = "
-        f"{means[0]:.4f}/{means[1]:.4f}/{means[2]:.4f}, spread={spread:.4f} "
-        f"(<=0.5), {elapsed:.1f}s (budget 300s)",
+        f"bot-cv akkf-quartic M=50 LMSE over ridge 1e-4/1e-3/1e-2 = {lmse}, "
+        f"spread={spread:.4f} (<=0.5), {elapsed:.1f}s (budget 300s)",
     )
     assert spread <= 0.5, text
     assert elapsed < 300.0, text
@@ -144,7 +148,8 @@ def test_criterion_5_coordinated_turn_robustness():
         "criterion 5",
         ok,
         f"bot-ct M=100 divergences akkf={d_akkf} pf={d_pf} gpf={d_gpf}; "
-        f"LMSE akkf={akkf.metric_mean:.4f} gpf={gpf.metric_mean:.4f}, "
+        f"LMSE akkf={akkf.metric_mean:.4f}±{akkf.metric_se:.4f} "
+        f"gpf={gpf.metric_mean:.4f}±{gpf.metric_se:.4f}, "
         f"{elapsed:.1f}s (budget 480s)",
     )
     assert d_akkf <= d_pf, text

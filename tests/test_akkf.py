@@ -747,23 +747,37 @@ class TestLowRankRebasis:
         assert_close_normwise(basis.V, V, 1e-9)
 
 
+# (scenario, M, bandwidth, whether the observation Gram's rank r has 2r <= M)
+GAIN_CASES = [
+    pytest.param("bot-cv", 100, 1.0, True, id="100"),
+    pytest.param("bot-cv", 200, 1.0, True, id="200"),
+    *(
+        pytest.param(scenario, m, None, False, id=f"{scenario}-{m}")
+        for scenario in ("bot-cv", "bot-ct")
+        for m in (6, 10, 20)
+    ),
+]
+
+
 class TestLowRankGain:
-    @pytest.mark.parametrize("m", [100, 200])
+    @pytest.mark.parametrize("scenario, m, sigma, low_rank", GAIN_CASES)
     @pytest.mark.parametrize("kappa", [1e-4, 1e-3, 1e-2])
-    def test_matches_dense_q_formula(self, m, kappa):
-        # bearings on bot-cv prior draws: the Gaussian observation Gram has
-        # numerical rank well below M/2, so Woodbury's r x r system is used
+    def test_matches_dense_q_formula(self, scenario, m, sigma, low_rank, kappa):
+        # bearings on prior draws.  At M=100 and 200 the Gaussian
+        # observation Gram has numerical rank well below M/2; the small
+        # ensembles, on the median-heuristic bandwidth the filter resolves,
+        # are at or near full rank, and Woodbury's r x r system serves both
         rng = np.random.default_rng(int(m / kappa))
-        model = build_model("bot-cv")
-        states = prior_draws("bot-cv", m, rng).particles
+        model = build_model(scenario)
+        states = prior_draws(scenario, m, rng).particles
         obs = Ensemble(model.measure(states, model.sample_measurement_noise(rng, m)))
-        spec = KernelSpec("gaussian", sigma=1.0)
+        spec = resolve_bandwidth(KernelSpec("gaussian", sigma=sigma), obs)
         G = gram(spec, obs, obs)
         g = gram(spec, obs, Ensemble(model.measure(states[:, :1], np.zeros((1, 1)))))[:, 0]
         B = rng.standard_normal((m, m))
         S = np.eye(m) / m + B @ B.T / m**2
         w = rng.standard_normal(m) / m
-        assert 2 * low_rank_factor(G).shape[1] <= m
+        assert (2 * low_rank_factor(G).shape[1] <= m) == low_rank
 
         Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
         w_exp = w + Q @ (g - G @ w)
@@ -779,3 +793,10 @@ class TestLowRankGain:
         G = np.ones((m, m))
         with pytest.raises(SingularMatrixError, match="gain system"):
             gain_update(np.zeros(m), np.eye(m), G, np.ones(m), 0.0)
+
+    def test_full_rank_without_kappa_raises(self):
+        # the Woodbury form divides by kappa, so kappa = 0 is rejected at
+        # every rank, not only where kappa I + F F^T S is singular
+        m = 4
+        with pytest.raises(SingularMatrixError, match="gain system"):
+            gain_update(np.zeros(m), np.eye(m), np.eye(m), np.ones(m), 0.0)

@@ -346,6 +346,13 @@ class TestKkrFit:
         assert fitted.obs_kernel.kind == "gaussian"
         assert fitted.obs_kernel.sigma is not None and fitted.obs_kernel.sigma > 0
 
+    @pytest.mark.parametrize("kappa", [0.0, -1e-3])
+    def test_kappa_must_be_positive(self, kappa):
+        # the gain update divides by kappa; reject it at fit time rather
+        # than at the first kkr_step
+        with pytest.raises(ValueError, match="kappa"):
+            kkr_fit((np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3))), lambda_pred=0.1, kappa=kappa)
+
 
 class TestKkrStep:
     @staticmethod
