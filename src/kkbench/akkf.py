@@ -12,7 +12,7 @@ covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .kernels import (
     extract_moments_poly,
     feature_dim,
     feature_map,
+    gaussian_self_gram,
     gram,
     low_rank_factor,
     project_moments,
@@ -33,12 +34,12 @@ from .kernels import (
 )
 from .models import StateSpaceModel
 
-# The change of basis solves in feature space only when the feature count
-# r is at most this share of M.  The factored algebra costs O(M^2 r) where
-# the dense ridge solve costs O(M^3), but it spends several M x r x M
-# products that the dense path does not; at r = M/2 they already cost
-# about what the dense Cholesky and products they replace do, so past that
-# share the dense ridge stays.  The gain solve has no such rule: it always
+# The change of basis solves in feature space, and the weight covariance
+# stays factored, only when the feature count r is at most this share of
+# M.  The factored algebra costs O(M r^2) a step where the dense path costs
+# O(M^3); the share was set when the factored path still formed M x r x M
+# products, which at r = M/2 cost about what the dense Cholesky and
+# products they replaced did.  The gain solve has no such rule: it always
 # goes through its factor.
 LOW_RANK_MAX_SHARE = 0.5
 
@@ -74,6 +75,51 @@ class AkkfConfig:
             raise ValueError("kappa must be positive")
 
 
+@dataclass(frozen=True)
+class FactoredCov:
+    """Weight covariance S = P^T Sigma P + c I - sum_i U_i Z_i, held in factors.
+
+    ``features`` P (r x M) is the whitened feature map of the basis S was
+    carried onto (see :func:`_rebasis`) and ``core`` Sigma (r x r) is
+    symmetric; each pair (U, Z) of ``downdates`` is a gain update's
+    Woodbury term, U = S F_y (M x r_y) and Z = W^-1 U^T.  The filter needs
+    two operations, ``S @ X`` and :meth:`sandwich`; both cost O(M r^2) and
+    form no M x M array.  ``np.asarray(S)`` gives the dense, symmetrized
+    M x M view.
+    """
+
+    features: np.ndarray
+    core: np.ndarray
+    scale: float
+    downdates: tuple = ()
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        P = self.features
+        out = P.T @ (self.core @ (P @ X)) + self.scale * X
+        for U, Z in self.downdates:
+            out -= U @ (Z @ X)
+        return out
+
+    def sandwich(self, B: np.ndarray) -> np.ndarray:
+        """B S B^T, through the factors."""
+        BP = B @ self.features.T
+        out = BP @ self.core @ BP.T + self.scale * (B @ B.T)
+        for U, Z in self.downdates:
+            out -= (B @ U) @ (Z @ B.T)
+        return out
+
+    def downdate(self, U: np.ndarray, Z: np.ndarray) -> FactoredCov:
+        """S - U Z, appended to the factors."""
+        return replace(self, downdates=self.downdates + ((U, Z),))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        P = self.features
+        S = P.T @ self.core @ P + self.scale * np.eye(P.shape[1])
+        for U, Z in self.downdates:
+            S -= U @ Z
+        return np.asarray((S + S.T) / 2.0, dtype=dtype)
+
+
 @dataclass
 class AkkfState:
     """Mutable filter state: one weighted ensemble.
@@ -81,23 +127,24 @@ class AkkfState:
     ``w`` and ``S`` are the weight vector and weight covariance over
     ``particles`` after every stage.  After init and propose, ``S`` already
     holds the basis's propagation residual, so predict only moves the
-    particles.
+    particles.  On a factored basis ``S`` is a :class:`FactoredCov`,
+    otherwise an M x M array.
     """
 
     config: AkkfConfig
     particles: Ensemble
     w: np.ndarray
-    S: np.ndarray
+    S: np.ndarray | FactoredCov
     n: int = 0
 
 
 def gain_update(
     w_minus: np.ndarray,
-    S_minus: np.ndarray,
+    S_minus: np.ndarray | FactoredCov,
     G_yy: np.ndarray,
     g_vec: np.ndarray,
     kappa: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | FactoredCov]:
     """Gain solve and weight-space measurement update.
 
     With Q = S_minus (G_yy S_minus + kappa I)^-1, applies
@@ -113,7 +160,8 @@ def gain_update(
     rho = g_vec - G_yy w_minus takes the exact Gram, so a zero innovation
     leaves the weights untouched.  The identity divides by kappa, so a
     kappa that is not positive, like a failed r x r solve, raises
-    :class:`SingularMatrixError`.
+    :class:`SingularMatrixError`.  A :class:`FactoredCov` S_minus takes
+    S_plus as one more downdate instead of an M x M difference.
     """
     if not kappa > 0:
         raise SingularMatrixError("gain system: kappa must be positive")
@@ -125,6 +173,8 @@ def gain_update(
         raise SingularMatrixError("gain system: solve failed") from exc
     rho = g_vec - G_yy @ w_minus
     w_plus = w_minus + (S_minus @ rho - U @ (Z @ rho)) / kappa
+    if isinstance(S_minus, FactoredCov):
+        return w_plus, S_minus.downdate(U, Z)
     S_plus = S_minus - U @ Z
     return w_plus, (S_plus + S_plus.T) / 2.0
 
@@ -139,42 +189,43 @@ def _gram_scale(K: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BasisChange:
-    """Change of basis onto a proposal ensemble, dense or through its features.
+    """Change of basis onto a proposal ensemble, dense or in feature space.
 
     Dense: ``core`` is Gamma (M x M_x), which maps weights over the old
     particles onto the M proposals, and ``residual`` is V (M x M), the
     proposal basis's propagation residual.  Factored, with the proposals'
-    feature map ``features`` F (r x M): Gamma = F^T core and
-    V = F^T residual F + I/M, with core r x M_x and residual r x r.
+    whitened feature map ``features`` P (r x M): Gamma = P^T core and
+    V = P^T residual P + I/M, with core r x M_x and residual r x r.
     """
 
     core: np.ndarray
     residual: np.ndarray
     features: np.ndarray | None = None
 
-    @property
-    def V(self) -> np.ndarray:
-        F = self.features
-        if F is None:
-            return self.residual
-        V = F.T @ self.residual @ F
-        m = F.shape[1]
-        return (V + V.T) / 2.0 + np.eye(m) / m
+    def spread(self, c: float) -> np.ndarray | FactoredCov:
+        """V + c I; a :class:`FactoredCov` on a factored basis."""
+        P, R = self.features, self.residual
+        if P is None:
+            return np.eye(len(R)) * c + R
+        return FactoredCov(P, (R + R.T) / 2.0, 1.0 / P.shape[1] + c)
 
-    def carry(self, w: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def carry(
+        self, w: np.ndarray, S: np.ndarray | FactoredCov
+    ) -> tuple[np.ndarray, np.ndarray | FactoredCov]:
         """Gamma w and the symmetrized Gamma S Gamma^T + V.
 
         Factored, both go through the r x r core:
-        Gamma S Gamma^T + V = F^T (core S core^T + residual) F + I/M,
-        so no M x M x M product is formed.
+        Gamma S Gamma^T + V = P^T (core S core^T + residual) P + I/M, whose
+        r x r middle is the sandwich of S, so the result is a
+        :class:`FactoredCov` and no M x M array is formed.
         """
-        F, core = self.features, self.core
-        if F is None:
+        P, core = self.features, self.core
+        if P is None:
             S = core @ S @ core.T
             return core @ w, (S + S.T) / 2.0 + self.residual
-        S = F.T @ (core @ S @ core.T + self.residual) @ F
-        m = F.shape[1]
-        return F.T @ (core @ w), (S + S.T) / 2.0 + np.eye(m) / m
+        inner = S.sandwich(core) if isinstance(S, FactoredCov) else core @ S @ core.T
+        inner += self.residual
+        return P.T @ (core @ w), FactoredCov(P, (inner + inner.T) / 2.0, 1.0 / P.shape[1])
 
 
 def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> BasisChange:
@@ -186,28 +237,39 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
     T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
     the finite-sample propagation error of the proposal basis.  When
     ``particles is proposals`` Gamma is T itself, so the solve takes K alone.
+    A Gaussian kernel resolves its bandwidth and builds K from one pass of
+    pairwise distances (:func:`~kkbench.kernels.gaussian_self_gram`).
 
     A polynomial kernel whose feature count r = C(d+p, p) is at most
     :data:`LOW_RANK_MAX_SHARE` of M solves in feature space instead.  With
-    K = F^T F, K_px = F^T F_x, C = F F^T and A = (C + lambda I)^-1, the
-    push-through identity gives Gamma = F^T A F_x and T = F^T A F, so
-    (T - I)^2 = F^T (A C A - 2 A) F + I.  The r x r ridge solve against the
-    identity gives A (one Cholesky factor, as on the dense path), and
-    A F_x and A C A are plain products: with one BLAS thread, the
-    triangular solves of M-column right-hand sides cost several times the
-    matrix products.  lambda uses trace(C)/M, the same mean Gram diagonal
-    as the dense solve.
+    K = F^T F, K_px = F^T F_x, C = F F^T and the Cholesky factor
+    L L^T = C + lambda I, the push-through identity
+    (F^T F + lambda I)^-1 F^T = F^T (C + lambda I)^-1 gives Gamma = P^T P_x
+    and T = P^T P over the whitened features P = L^-1 F and P_x = L^-1 F_x,
+    so (T - I)^2 = P^T (P P^T - 2 I) P + I.  One half solve of the r x r
+    ridge system (one Cholesky factor, as on the dense path) gives P and
+    P_x.  P's singular values are s / sqrt(s^2 + lambda) for the singular
+    values s of F, all below 1, so the factors of Gamma, V and the weight
+    covariance carried on P keep the scale of their dense forms.  On F
+    itself those factors carry (C + lambda I)^-1, the products that cancel
+    it round about 1/lambda_tilde times coarser, and the gain's Woodbury
+    difference, divided by kappa, amplifies that.  lambda uses trace(C)/M,
+    the same mean Gram diagonal as the dense solve.
     """
-    spec = resolve_bandwidth(cfg.state_kernel, proposals)
+    spec = cfg.state_kernel
     m = proposals.count
     if spec.kind in POLY_KINDS and feature_dim(spec, proposals.dim) <= LOW_RANK_MAX_SHARE * m:
         F = feature_map(spec, proposals)
-        F_x = F if particles is proposals else feature_map(spec, particles)
+        rhs = F if particles is proposals else np.hstack([feature_map(spec, particles), F])
         C = F @ F.T
         lam = cfg.lambda_tilde * float(np.trace(C)) / m
-        A = ridge_solve(C, lam, np.eye(len(C)), name="proposal feature gram")
-        return BasisChange(A @ F_x, (A @ C @ A - 2.0 * A) / m, F)
-    K_pp = gram(spec, proposals, proposals)
+        W = ridge_solve(C, lam, rhs, name="proposal feature gram", half=True)
+        P = W[:, -m:]
+        return BasisChange(W[:, : particles.count], (P @ P.T - 2.0 * np.eye(len(C))) / m, P)
+    if spec.kind == "gaussian":
+        spec, K_pp = gaussian_self_gram(spec, proposals)
+    else:
+        K_pp = gram(spec, proposals, proposals)
     rhs = K_pp if particles is proposals else np.hstack([gram(spec, proposals, particles), K_pp])
     lam = cfg.lambda_tilde * _gram_scale(K_pp)
     X = ridge_solve(K_pp, lam, rhs, name="proposal self-gram")
@@ -223,12 +285,11 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     """
     columns = np.column_stack([model.sample_prior(rng) for _ in range(cfg.M)])
     particles = Ensemble(columns)
-    V = _rebasis(cfg, particles, particles).V
     return AkkfState(
         config=cfg,
         particles=particles,
         w=np.full(cfg.M, 1.0 / cfg.M),
-        S=np.eye(cfg.M) / cfg.M + V,
+        S=_rebasis(cfg, particles, particles).spread(1.0 / cfg.M),
         n=0,
     )
 

@@ -89,7 +89,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for cfg, summary in rows:
         print(
             f"{cfg.scenario} {cfg.filter} M={cfg.M}: "
-            f"metric mean {summary.metric_mean:.6g} "
+            f"metric mean {summary.metric_mean:.6g} se {summary.metric_se:.3g} "
             f"diverged {summary.diverged_count}/{cfg.realizations}"
         )
     total = sum(summary.diverged_count for _, summary in rows)

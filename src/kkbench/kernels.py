@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpstrf
-from scipy.spatial.distance import cdist, pdist
+from scipy.linalg.lapack import dpstrf, dtrtri
+from scipy.spatial.distance import cdist, pdist, squareform
 
 KERNEL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
 POLY_KINDS = ("quadratic", "quartic")
@@ -131,6 +131,11 @@ class GaussianBelief:
         return self.mean[:, None] + root @ z
 
 
+def _median_bandwidth(spec: KernelSpec, distances: np.ndarray) -> KernelSpec:
+    med = float(np.median(distances))
+    return replace(spec, sigma=med if med > 0 else 1.0)
+
+
 def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
     """Fix a Gaussian bandwidth by the median heuristic on an ensemble.
 
@@ -143,14 +148,28 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
         return spec
     if ensemble.count < 2:
         raise ValueError("median heuristic needs at least two particles")
-    med = float(np.median(pdist(ensemble.particles.T)))
-    return replace(spec, sigma=med if med > 0 else 1.0)
+    return _median_bandwidth(spec, pdist(ensemble.particles.T))
+
+
+def gaussian_self_gram(spec: KernelSpec, E: Ensemble) -> tuple[KernelSpec, np.ndarray]:
+    """Resolve a Gaussian bandwidth on E and build E's self-Gram with it.
+
+    One pass of pairwise squared distances serves both the median
+    heuristic (through their square roots) and the Gram, and the result is
+    bit for bit that of :func:`resolve_bandwidth` followed by :func:`gram`.
+    """
+    sq = pdist(E.particles.T, "sqeuclidean")
+    if spec.sigma is None:
+        spec = _median_bandwidth(spec, np.sqrt(sq))
+    return spec, np.exp(-squareform(sq) / spec.sigma**2)
 
 
 def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     """Assemble the Gram matrix K[i, j] = k(a_i, b_j) over the particles of A and B.
 
-    A Gram of an ensemble against itself is symmetrized exactly.
+    A polynomial Gram of an ensemble against itself is symmetrized exactly.
+    A Gaussian one needs no pass: (a - b)^2 and (b - a)^2 are equal bit for
+    bit, so its squared distances, and their exponentials, already are.
     """
     if not spec.resolved:
         raise ValueError("gaussian bandwidth is unresolved")
@@ -158,13 +177,12 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
         raise ValueError("ensembles must share the state dimension")
     if spec.kind == "gaussian":
         sq = cdist(A.particles.T, B.particles.T, "sqeuclidean")
-        values = np.exp(-sq / spec.sigma**2)
-    else:
-        values = A.particles.T @ B.particles
-        if spec.kind == "quadratic":
-            values = (values + spec.c) ** 2
-        elif spec.kind == "quartic":
-            values = (values + spec.c) ** 4
+        return np.exp(-sq / spec.sigma**2)
+    values = A.particles.T @ B.particles
+    if spec.kind == "quadratic":
+        values = (values + spec.c) ** 2
+    elif spec.kind == "quartic":
+        values = (values + spec.c) ** 4
     if A is B or (A.count == B.count and np.array_equal(A.particles, B.particles)):
         values = (values + values.T) / 2.0
     return values
@@ -224,8 +242,16 @@ def low_rank_factor(K: np.ndarray) -> np.ndarray:
     return F
 
 
-def ridge_solve(K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matrix") -> np.ndarray:
-    """Solve (K + lam*I) X = B through a Cholesky factorization.
+def ridge_solve(
+    K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matrix", half: bool = False
+) -> np.ndarray:
+    """Solve (K + lam*I) X = B through a Cholesky factorization L L^T = K + lam*I.
+
+    With ``half``, return L^-1 B instead, so that for any two blocks
+    (L^-1 B_1)^T (L^-1 B_2) = B_1^T (K + lam*I)^-1 B_2.  It is formed
+    through the triangular inverse of L and one product: with one BLAS
+    thread, that costs a fraction of a triangular solve of many
+    right-hand-side columns.
 
     A failed factorization is retried with a jitter of 1e-10*trace(K)/M
     added to lam, escalated tenfold up to three times, before raising
@@ -246,6 +272,8 @@ def ridge_solve(K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matr
         shift = lam if attempt == 0 else lam + jitter * 10.0 ** (attempt - 1)
         try:
             factor = cho_factor(values + shift * eye, lower=True)
+            if half:
+                return np.tril(dtrtri(factor[0], lower=1)[0]) @ B
             return cho_solve(factor, B)
         except np.linalg.LinAlgError:
             continue

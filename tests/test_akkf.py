@@ -182,15 +182,18 @@ class TestInit:
         assert state.n == 0
         assert state.particles.count == 6
         assert_allclose(state.w, np.full(6, 1.0 / 6.0))
-        V = _rebasis(cfg, state.particles, state.particles).V
+        V = _rebasis(cfg, state.particles, state.particles).spread(0.0)
         assert_allclose(state.S, np.eye(6) / 6.0 + V)
         assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S", "n"]
 
     def test_one_gram_and_m_column_solve(self, monkeypatch):
         # the prior draws are their own basis, so init needs the self-Gram
-        # alone and solves M right-hand-side columns for the residual
-        grams, widths = [], []
+        # alone and solves M right-hand-side columns for the residual; on
+        # a Gaussian kernel the bandwidth and the self-Gram share one
+        # pairwise-distance pass and no cross-Gram is built
+        grams, widths, passes = [], [], []
         real_gram, real_solve = akkf.gram, akkf.ridge_solve
+        real_pdist, real_cdist = kernels.pdist, kernels.cdist
 
         def counting_gram(spec, A, B):
             grams.append((A.count, B.count))
@@ -200,11 +203,22 @@ class TestInit:
             widths.append(B.shape[1])
             return real_solve(K, lam, B, name=name)
 
+        def counting_pdist(X, *args):
+            passes.append(("pdist", len(X)))
+            return real_pdist(X, *args)
+
+        def counting_cdist(X, Y, *args):
+            passes.append(("cdist", len(X)))
+            return real_cdist(X, Y, *args)
+
         monkeypatch.setattr(akkf, "gram", counting_gram)
         monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
+        monkeypatch.setattr(kernels, "pdist", counting_pdist)
+        monkeypatch.setattr(kernels, "cdist", counting_cdist)
         cfg = AkkfConfig(KernelSpec("gaussian"), M=7)
         init(identity_model(), cfg, np.random.default_rng(0))
-        assert grams == [(7, 7)]
+        assert grams == []
+        assert passes == [("pdist", 7)]
         assert widths == [7]
 
     def test_deterministic_prior_gives_equal_particles(self):
@@ -435,11 +449,11 @@ class TestStep:
 
         for n in range(15):
             predict(state, model, rng)
-            assert_symmetric(state.S)
+            assert_symmetric(np.asarray(state.S))
             update(state, traj.observations[:, n], model, rng)
-            assert_symmetric(state.S)
+            assert_symmetric(np.asarray(state.S))
             propose(state, estimate(state), rng)
-            assert_symmetric(state.S)
+            assert_symmetric(np.asarray(state.S))
 
     def test_update_contracts_weight_covariance_trace(self):
         # conditioning on an observation should not inflate the weight
@@ -457,9 +471,9 @@ class TestStep:
         state = init(model, cfg, rng)
         for n in range(30):
             predict(state, model, rng)
-            trace_minus = np.trace(state.S)
+            trace_minus = np.trace(np.asarray(state.S))
             update(state, traj.observations[:, n], model, rng)
-            assert np.trace(state.S) <= trace_minus + 1e-8 * abs(trace_minus)
+            assert np.trace(np.asarray(state.S)) <= trace_minus + 1e-8 * abs(trace_minus)
             propose(state, estimate(state), rng)
 
     def test_weights_can_go_negative(self):
@@ -572,17 +586,20 @@ class TestStep:
 
 
 class TestMultistepOracle:
-    def test_three_steps_match_dense_replay(self):
+    def replay(self, model, cfg, ys, after_stage=lambda state: None, lock_step=False):
         # replay the full cycle with a parallel generator and inverse-based
-        # solves; covers the carry-over of weights and bases across steps
-        model = build_model("ungm")
-        spec_x = KernelSpec("quadratic", c=1.0)
-        spec_y = KernelSpec("gaussian", sigma=2.0)
-        cfg = AkkfConfig(spec_x, obs_kernel=spec_y, M=6, lambda_tilde=1e-2, kappa=1e-2)
-        ys = np.array([[1.0, 4.0, 0.2]])
-
+        # solves; covers the carry-over of weights and bases across steps.
+        # after_stage sees the state after init, update and propose.  With
+        # lock_step the oracle goes on from the run's proposals instead of
+        # its own, so every step compares the weight algebra on the same
+        # particles: at M=200 the PSD-repaired readout and its Cholesky
+        # factor turn 1e-10 differences in w into 1e-7 ones in the samples,
+        # and into O(1) ones where a clipped readout covariance flips
+        # GaussianBelief.sample between its Cholesky and eigen roots.
+        spec_x, spec_y = cfg.state_kernel, cfg.obs_kernel
         rng_run = np.random.default_rng(21)
         state = init(model, cfg, np.random.default_rng(77))
+        after_stage(state)
         rng_oracle = np.random.default_rng(21)
         m = cfg.M
 
@@ -596,13 +613,15 @@ class TestMultistepOracle:
         w_t = state.w.copy()
         S_t = np.eye(m) / m + residual_cov(prop)
 
-        for n in range(3):
+        for n in range(ys.shape[1]):
             predict(state, model, rng_run)
             update(state, ys[:, n], model, rng_run)
+            after_stage(state)
             run_cur = state.particles.particles.copy()
             run_w_plus = state.w.copy()
-            run_S_plus = state.S.copy()
+            run_S_plus = np.array(state.S)
             propose(state, estimate(state), rng_run)
+            after_stage(state)
 
             noise = model.sample_process_noise(rng_oracle, m)
             cur = model.process(prop, noise, n + 1)
@@ -620,6 +639,8 @@ class TestMultistepOracle:
 
             belief = extract_moments_poly(spec_x, Ensemble(cur), w_plus)
             prop = belief.sample(rng_oracle, m)
+            if lock_step:
+                prop = state.particles.particles.copy()
             K_pp = gram(spec_x, Ensemble(prop), Ensemble(prop))
             K_px = gram(spec_x, Ensemble(prop), Ensemble(cur))
             lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
@@ -633,7 +654,33 @@ class TestMultistepOracle:
             assert_allclose(run_S_plus, S_plus, rtol=1e-7, atol=1e-10)
             assert_allclose(state.particles.particles, prop, rtol=1e-7, atol=1e-10)
             assert_allclose(state.w, w_t, rtol=1e-6, atol=1e-9)
-            assert_allclose(state.S, S_t, rtol=1e-6, atol=1e-9)
+            assert_allclose(np.asarray(state.S), S_t, rtol=1e-6, atol=1e-9)
+
+    def test_three_steps_match_dense_replay(self):
+        spec_x = KernelSpec("quadratic", c=1.0)
+        spec_y = KernelSpec("gaussian", sigma=2.0)
+        cfg = AkkfConfig(spec_x, obs_kernel=spec_y, M=6, lambda_tilde=1e-2, kappa=1e-2)
+        self.replay(build_model("ungm"), cfg, np.array([[1.0, 4.0, 0.2]]))
+
+    def test_factored_weight_covariance_matches_dense_replay(self):
+        # the benchmark cell's kernels at M=200: r = 70 state features, so
+        # S stays a FactoredCov, and the observation Gram has rank far
+        # below M, so none of its arrays is M x M
+        model = build_model("bot-cv")
+        cfg = AkkfConfig(
+            KernelSpec("quartic", c=0.5),
+            obs_kernel=KernelSpec("gaussian", sigma=1.0),
+            M=200,
+        )
+        ys = simulate(model, 3, np.random.default_rng(5)).observations
+
+        def no_m_by_m_array(state):
+            assert isinstance(state.S, akkf.FactoredCov)
+            assert state.S.features.shape == (70, 200)
+            held = [state.S.features, state.S.core, *(a for pair in state.S.downdates for a in pair)]
+            assert all(a.shape != (200, 200) for a in held)
+
+        self.replay(model, cfg, ys, no_m_by_m_array, lock_step=True)
 
 
 def assert_close_normwise(actual, expected, rtol):
@@ -677,9 +724,10 @@ class TestLowRankRebasis:
         assert basis.features.shape == (70, 200)
         Gamma_low = basis.features.T @ basis.core
         assert_close_normwise(Gamma_low, Gamma, 1e-9)
-        assert_close_normwise(basis.V, V, 1e-9)
+        assert_close_normwise(np.asarray(basis.spread(0.0)), V, 1e-9)
         assert_close_normwise(Gamma_low @ S @ Gamma_low.T, Gamma @ S @ Gamma.T, 1e-9)
         w_plus, S_plus = basis.carry(w, S)
+        S_plus = np.asarray(S_plus)
         S_exp = Gamma @ S @ Gamma.T
         assert_close_normwise(w_plus, Gamma @ w, 1e-9)
         assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0 + V, 1e-9)
@@ -687,7 +735,7 @@ class TestLowRankRebasis:
 
         # init's basis is its own particle set
         _, V_self = dense_rebasis(cfg, proposals, proposals)
-        assert_close_normwise(_rebasis(cfg, proposals, proposals).V, V_self, 1e-9)
+        assert_close_normwise(np.asarray(_rebasis(cfg, proposals, proposals).spread(0.0)), V_self, 1e-9)
 
     def test_goes_through_kernels_ridge_solve_and_cho_factor(self, monkeypatch):
         # the r x r solve is the one factorization of the basis, on the
@@ -744,7 +792,7 @@ class TestLowRankRebasis:
         basis = _rebasis(cfg, E, E)
         assert (basis.features is not None) == factored
         _, V = dense_rebasis(cfg, E, E)
-        assert_close_normwise(basis.V, V, 1e-9)
+        assert_close_normwise(np.asarray(basis.spread(0.0)), V, 1e-9)
 
 
 # (scenario, M, bandwidth, whether the observation Gram's rank r has 2r <= M)

@@ -359,6 +359,11 @@ class TestCli:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 4
+        for row, line in zip(rows, printed):
+            assert f"{row['filter']} M={row['particles']}:" in line
+            assert f"se {float(row['metric_se']):.3g} " in line
 
     @pytest.mark.parametrize("option", ["--filters", "--particles"])
     def test_sweep_empty_list_exits_2(self, tmp_path, capsys, option):

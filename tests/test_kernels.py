@@ -12,6 +12,7 @@ from kkbench import (
     GaussianBelief,
     KernelSpec,
     SingularMatrixError,
+    build_model,
     extract_moments_poly,
     gram,
     project_moments,
@@ -19,7 +20,7 @@ from kkbench import (
     resolve_bandwidth,
     ridge_solve,
 )
-from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
+from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_self_gram, low_rank_factor
 
 ALL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
 
@@ -162,6 +163,47 @@ def test_self_gram_symmetric_and_psd(kind, seed, d, m):
     assert eigenvalues[0] >= -1e-10 * np.trace(K)
 
 
+def bearing_ensemble(rng, m):
+    """m bearings (1 x m) of bot-cv prior draws, as the AKKF's observation particles."""
+    model = build_model("bot-cv")
+    states = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+    return Ensemble(model.measure(states, model.sample_measurement_noise(rng, m)))
+
+
+class TestGaussianSelfGram:
+    # a Gaussian self-Gram is exactly symmetric without a symmetrizing pass:
+    # (a - b)^2 and (b - a)^2 are equal bit for bit
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("sigma", [None, 0.05, 1.0])
+    def test_bearings_exactly_symmetric(self, seed, sigma):
+        E = bearing_ensemble(np.random.default_rng(seed), 200)
+        spec = resolve_bandwidth(KernelSpec("gaussian", sigma=sigma), E)
+        K = gram(spec, E, E)
+        assert np.array_equal(K, K.T)
+        twin = Ensemble(E.particles.copy())
+        assert twin is not E
+        assert np.array_equal(gram(spec, E, twin), K)
+
+    @pytest.mark.parametrize("d, m", [(1, 200), (4, 60), (5, 100)])
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    def test_one_pass_matches_resolve_then_gram(self, d, m, sigma):
+        # the median of the rooted squared distances is pdist's euclidean
+        # median, and the Gram is cdist's, bit for bit
+        rng = np.random.default_rng(d * m)
+        for scale in (0.01, 1.0, 30.0):
+            E = random_ensemble(rng, d, m, scale)
+            spec = KernelSpec("gaussian", sigma=sigma)
+            resolved, K = gaussian_self_gram(spec, E)
+            assert resolved == resolve_bandwidth(spec, E)
+            assert np.array_equal(K, gram(resolved, E, E))
+
+    def test_coincident_particles_fall_back_to_unit_bandwidth(self):
+        E = Ensemble(np.full((2, 4), 3.0))
+        resolved, K = gaussian_self_gram(KernelSpec("gaussian"), E)
+        assert resolved.sigma == 1.0
+        assert np.array_equal(K, np.ones((4, 4)))
+
+
 class TestResolveBandwidth:
     def test_single_pair(self):
         E = Ensemble(np.array([[0.0, 2.0]]))
@@ -278,6 +320,36 @@ class TestRidgeSolve:
             ridge_solve(np.ones((2, 3)), 0.0, np.eye(2))
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), 0.0, np.eye(3))
+
+    def test_half_solve_is_lower_cholesky_inverse(self):
+        K = np.array([[4.0, 2.0], [2.0, 3.0]])
+        L = np.linalg.cholesky(K + 1.0 * np.eye(2))
+        B = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
+        assert_allclose(ridge_solve(K, 1.0, B, half=True), np.linalg.solve(L, B), rtol=1e-14)
+
+    def test_half_solve_escalates_jitter(self):
+        # a rank-one K with no ridge fails the first factorization; the
+        # half solve retries with the same jitter as the full solve
+        K = np.ones((3, 3))
+        W = ridge_solve(K, 0.0, np.eye(3), half=True)
+        X = ridge_solve(K, 0.0, np.eye(3))
+        assert_allclose(W.T @ W, X, rtol=1e-6)
+        with pytest.raises(SingularMatrixError, match="proposal"):
+            ridge_solve(np.zeros((3, 3)), 0.0, np.eye(3), name="proposal feature gram", half=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 10), lam=st.floats(1e-6, 10.0))
+def test_half_solve_products_match_full_solve(seed, m, lam):
+    # (L^-1 B_1)^T (L^-1 B_2) = B_1^T (K + lam I)^-1 B_2
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, m))
+    K = A @ A.T
+    B1, B2 = rng.standard_normal((m, 3)), rng.standard_normal((m, 2))
+    W = ridge_solve(K, lam, np.hstack([B1, B2]), half=True)
+    expected = B1.T @ ridge_solve(K, lam, B2)
+    scale = np.linalg.norm(B1) * np.linalg.norm(B2) / lam
+    assert np.abs(W[:, :3].T @ W[:, 3:] - expected).max() <= 1e-9 * scale
 
 
 @settings(max_examples=25, deadline=None)
