@@ -22,6 +22,7 @@ from .kernels import (
     gram,
     project_moments,
     psd_repair,
+    psd_root,
     resolve_bandwidth,
     ridge_solve,
 )
@@ -147,11 +148,7 @@ def _sigma_points(belief: GaussianBelief, alpha: float, kappa: float):
     d = belief.dim
     lam = alpha * alpha * (d + kappa) - d
     scale = d + lam
-    try:
-        root = np.linalg.cholesky(scale * belief.cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(scale * psd_repair(belief.cov))
-        root = vecs * np.sqrt(np.maximum(vals, 0.0))
+    root = psd_root(scale * belief.cov)
     points = np.empty((d, 2 * d + 1))
     points[:, 0] = belief.mean
     points[:, 1 : d + 1] = belief.mean[:, None] + root

@@ -22,9 +22,9 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpstrf, dtrtri
 from scipy.spatial.distance import cdist, pdist, squareform
 
-KERNEL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
-POLY_KINDS = ("quadratic", "quartic")
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
+POLY_KINDS = tuple(POLY_DEGREE)
+KERNEL_KINDS = (*POLY_KINDS, "gaussian")
 # Pivoted Cholesky stops once every remaining Schur-complement diagonal is
 # at most this fraction of the mean diagonal.  The dropped remainder
 # K - F F^T is PSD, so none of its entries exceeds that bound either: a few
@@ -45,7 +45,7 @@ class KernelSpec:
     Parameters
     ----------
     kind : str
-        One of ``linear``, ``quadratic``, ``quartic``, ``gaussian``.
+        One of ``quadratic``, ``quartic``, ``gaussian``.
     c : float
         Offset of the polynomial kernels (x.x' + c)^p, ignored otherwise.
     sigma : float or None
@@ -118,17 +118,13 @@ class GaussianBelief:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` samples as columns of a d x count matrix.
 
-        Uses a Cholesky factor of the covariance; an exactly singular
-        covariance falls back to its positive-eigenvalue subspace, leaving
-        the null directions deterministic.
+        The draws go through the eigen root :func:`psd_root` of the
+        covariance, whatever its rank: a singular covariance leaves its null
+        directions deterministic, and a covariance within rounding of
+        another one gives draws within rounding of that one's.
         """
-        try:
-            root = np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh((self.cov + self.cov.T) / 2.0)
-            root = vecs * np.sqrt(np.maximum(vals, 0.0))
         z = rng.standard_normal((self.dim, count))
-        return self.mean[:, None] + root @ z
+        return self.mean[:, None] + psd_root(self.cov) @ z
 
 
 def _median_bandwidth(spec: KernelSpec, distances: np.ndarray) -> KernelSpec:
@@ -178,11 +174,7 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     if spec.kind == "gaussian":
         sq = cdist(A.particles.T, B.particles.T, "sqeuclidean")
         return np.exp(-sq / spec.sigma**2)
-    values = A.particles.T @ B.particles
-    if spec.kind == "quadratic":
-        values = (values + spec.c) ** 2
-    elif spec.kind == "quartic":
-        values = (values + spec.c) ** 4
+    values = (A.particles.T @ B.particles + spec.c) ** POLY_DEGREE[spec.kind]
     if A is B or (A.count == B.count and np.array_equal(A.particles, B.particles)):
         values = (values + values.T) / 2.0
     return values
@@ -294,6 +286,16 @@ def psd_repair(C: np.ndarray) -> np.ndarray:
         return sym
     repaired = (vecs * np.maximum(vals, 0.0)) @ vecs.T
     return (repaired + repaired.T) / 2.0
+
+
+def psd_root(C: np.ndarray) -> np.ndarray:
+    """Eigen root R of a nearly-symmetric matrix: R R^T = psd_repair(C) to rounding.
+
+    Defined on every input, it moves with C by rounding only; a Cholesky
+    root with an eigen fallback jumps where rounding flips the branch.
+    """
+    vals, vecs = np.linalg.eigh((C + C.T) / 2.0)
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 def extract_moments_poly(spec: KernelSpec, E: Ensemble, w: np.ndarray) -> GaussianBelief:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import psd_repair
+from .kernels import psd_repair, psd_root as _eigen_root
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -195,11 +195,6 @@ BOT_PRIOR_COV = np.diag(np.diag(BOT_PRIOR_COV_RAW))
 
 BOT_PROCESS_STD = 1e-3
 BOT_MEASUREMENT_STD = 5e-3
-
-
-def _eigen_root(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 def _bearing_law() -> dict:

@@ -592,10 +592,10 @@ class TestMultistepOracle:
         # after_stage sees the state after init, update and propose.  With
         # lock_step the oracle goes on from the run's proposals instead of
         # its own, so every step compares the weight algebra on the same
-        # particles: at M=200 the PSD-repaired readout and its Cholesky
-        # factor turn 1e-10 differences in w into 1e-7 ones in the samples,
-        # and into O(1) ones where a clipped readout covariance flips
-        # GaussianBelief.sample between its Cholesky and eigen roots.
+        # particles: at M=200 rounding differences in w reach the samples
+        # through the PSD-repaired readout and its eigen root, and since each
+        # step's samples are the next step's particles, they compound past
+        # the replay's tolerances within three steps.
         spec_x, spec_y = cfg.state_kernel, cfg.obs_kernel
         rng_run = np.random.default_rng(21)
         state = init(model, cfg, np.random.default_rng(77))

@@ -27,7 +27,15 @@ from kkbench import (
     ukf_step,
 )
 from kkbench.baselines import _sigma_points, _sigma_weights
+from kkbench.kernels import psd_repair
 from kkbench.models import StateSpaceModel, wrap_angle
+
+
+def clipped_covs(rng, count=200):
+    """Covariances as the PSD repair leaves them: two zero eigenvalues."""
+    for _ in range(count):
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        yield psd_repair(Q @ np.diag([-1e-3, 0.0, 9.4e-3, 0.15]) @ Q.T)
 
 
 def linear_model(
@@ -236,6 +244,27 @@ class TestUkf:
         assert lam == pytest.approx(alpha * alpha - 1.0)
         spread = np.sqrt(1.0 + lam)
         assert_allclose(points, [[0.0, spread, -spread]], atol=1e-15)
+
+    def test_sigma_points_continuous_on_clipped_covariance(self):
+        # a 1e-15 shift of a singular covariance moves the points by rounding
+        for C in clipped_covs(np.random.default_rng(12)):
+            points = [
+                _sigma_points(GaussianBelief(np.ones(4), cov), 0.5, 0.0)[0]
+                for cov in (C, C + 1e-15 * np.eye(4))
+            ]
+            assert_allclose(points[0], points[1], rtol=0.0, atol=1e-6)
+
+    def test_sigma_points_reproduce_repaired_covariance(self):
+        # on an indefinite input the points carry the PSD repair's spread
+        alpha, kappa = 0.5, 0.0
+        Q = np.linalg.qr(np.random.default_rng(14).standard_normal((4, 4)))[0]
+        C = Q @ np.diag([-1e-3, 0.0, 9.4e-3, 0.15]) @ Q.T
+        mean = np.array([1.0, -2.0, 0.5, 3.0])
+        points, lam = _sigma_points(GaussianBelief(mean, C), alpha, kappa)
+        w_mean, _ = _sigma_weights(4, lam, alpha, 2.0)
+        centered = points - mean[:, None]
+        assert_allclose(points[:, 0], mean)
+        assert_allclose((centered * w_mean) @ centered.T, psd_repair(C), atol=1e-14)
 
     def test_sigma_weights_sum_to_one(self):
         alpha, beta, kappa = 0.5, 2.0, 1.0

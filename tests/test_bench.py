@@ -420,17 +420,21 @@ class TestCli:
         assert rc == 3
 
 
+def load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTraceHooks:
     def test_tracer_installs_and_restores_every_patch(self):
         # perfbench's tracer wraps kkbench functions by module attribute; a
         # renamed lookup would make its install step raise
         import kkbench
 
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-
+        tracing = load_tracing()
         originals = []
 
         class RecordingPatches(tracing.Patches):
@@ -447,6 +451,28 @@ class TestTraceHooks:
         assert originals
         for owner, name, original in originals:
             assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
+
+    def test_ct_noise_root_counters(self):
+        # the tracer counts bot-ct noise roots on models._ct_noise_root and
+        # their eigen fallbacks on models._eigen_root; the printed noise form
+        # is indefinite at rate 0, so only those columns fall back
+        import kkbench
+        from kkbench.models import ct_noise_cov
+
+        assert np.linalg.eigvalsh(ct_noise_cov(0.0))[0] < 0.0 < np.linalg.eigvalsh(ct_noise_cov(0.5))[0]
+        rates = np.array([0.0, 0.5, 0.5, 0.0, 0.5])
+        X = np.zeros((5, rates.size))
+        X[4] = rates
+        model = build_model("bot-ct")
+        tracing = load_tracing()
+        tracer, patches = tracing.Tracer(), tracing.Patches()
+        try:
+            tracer.install(kkbench, patches)
+            model.process(X, np.zeros_like(X), 1)
+        finally:
+            patches.restore()
+        assert tracer.counters[(None, "models.ct_noise_root.calls")] == rates.size
+        assert tracer.counters[(None, "models.ct_noise_root.fallbacks")] == np.sum(rates == 0.0)
 
 
 @pytest.mark.slow

@@ -22,7 +22,14 @@ from kkbench import (
 )
 from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_self_gram, low_rank_factor
 
-ALL_KINDS = ("linear", "quadratic", "quartic", "gaussian")
+ALL_KINDS = ("quadratic", "quartic", "gaussian")
+
+
+def clipped_readout_covs(rng, count=200):
+    """Readout covariances as the PSD repair leaves them: two zero eigenvalues."""
+    for _ in range(count):
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        yield psd_repair(Q @ np.diag([-1e-3, 0.0, 9.4e-3, 0.15]) @ Q.T)
 
 
 def random_ensemble(rng, d, m, scale=1.0):
@@ -37,8 +44,6 @@ def make_spec(kind):
 
 def kernel_eval(spec, x, x2):
     """Scalar oracle for one Gram entry: k(x, x2) for a single pair of vectors."""
-    if spec.kind == "linear":
-        return float(x @ x2)
     if spec.kind == "quadratic":
         return float((x @ x2 + spec.c) ** 2)
     if spec.kind == "quartic":
@@ -55,8 +60,9 @@ def gram_entry(spec, x, x2):
 
 class TestKernelSpec:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec("cubic")
+        for kind in ("cubic", "linear"):
+            with pytest.raises(ValueError):
+                KernelSpec(kind)
 
     def test_negative_c_rejected(self):
         with pytest.raises(ValueError):
@@ -86,9 +92,6 @@ class TestKernelEval:
         spec = KernelSpec("quartic", c=0.0)
         assert gram_entry(spec, [1.0, 1.0], [1.0, 1.0]) == 16.0
 
-    def test_linear_is_dot_product(self):
-        assert gram_entry(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == 11.0
-
     def test_gaussian_matches_formula(self):
         # exp(-||x - x'||^2 / sigma^2), no factor of 2 in the denominator
         spec = KernelSpec("gaussian", sigma=2.0)
@@ -97,11 +100,6 @@ class TestKernelEval:
 
 
 class TestGram:
-    def test_linear_identity_columns(self):
-        E = Ensemble(np.eye(2))
-        K = gram(KernelSpec("linear"), E, E)
-        assert_array_equal(K, np.eye(2))
-
     def test_gaussian_self_diagonal_ones(self):
         rng = np.random.default_rng(0)
         E = random_ensemble(rng, 3, 6)
@@ -133,7 +131,7 @@ class TestGram:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            gram(KernelSpec("linear"), random_ensemble(rng, 2, 3), random_ensemble(rng, 3, 3))
+            gram(KernelSpec("quadratic"), random_ensemble(rng, 2, 3), random_ensemble(rng, 3, 3))
 
     def test_unresolved_bandwidth(self):
         E = Ensemble(np.array([[0.0, 1.0]]))
@@ -142,7 +140,7 @@ class TestGram:
 
     def test_shapes_recorded(self):
         rng = np.random.default_rng(3)
-        K = gram(KernelSpec("linear"), random_ensemble(rng, 2, 5), random_ensemble(rng, 2, 3))
+        K = gram(KernelSpec("quadratic"), random_ensemble(rng, 2, 5), random_ensemble(rng, 2, 3))
         assert K.shape == (5, 3)
 
 
@@ -536,3 +534,14 @@ class TestGaussianBelief:
         draws = belief.sample(np.random.default_rng(10), 50)
         spread = draws[0] - draws[1]
         assert_allclose(spread, np.zeros(50), atol=1e-12)
+
+    def test_sample_continuous_on_clipped_covariance(self):
+        # a clipped readout covariance is singular, so a 1e-15 shift must
+        # move the draws by rounding only, whichever root a factorization
+        # would have taken
+        for C in clipped_readout_covs(np.random.default_rng(12)):
+            draws = [
+                GaussianBelief(np.zeros(4), cov).sample(np.random.default_rng(13), 50)
+                for cov in (C, C + 1e-15 * np.eye(4))
+            ]
+            assert_allclose(draws[0], draws[1], rtol=0.0, atol=1e-6)
