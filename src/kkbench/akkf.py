@@ -283,8 +283,7 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     The weight covariance starts at I/M plus the prior basis's propagation
     residual.
     """
-    columns = np.column_stack([model.sample_prior(rng) for _ in range(cfg.M)])
-    particles = Ensemble(columns)
+    particles = Ensemble(model.sample_prior(rng, cfg.M))
     return AkkfState(
         config=cfg,
         particles=particles,

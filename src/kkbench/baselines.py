@@ -72,8 +72,7 @@ class KkrModel:
 
 def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> PfState:
     """Draw M prior particles with uniform weights."""
-    columns = np.column_stack([model.sample_prior(rng) for _ in range(M)])
-    return PfState(Ensemble(columns), np.full(M, 1.0 / M))
+    return PfState(Ensemble(model.sample_prior(rng, M)), np.full(M, 1.0 / M))
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

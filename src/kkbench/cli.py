@@ -7,9 +7,20 @@ realization diverged.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 
-from .bench import ScenarioConfig, run_mc, sweep, write_run_csv, write_summary_csv
+from .bench import (
+    RunRecord,
+    ScenarioConfig,
+    read_run_csv,
+    run_mc,
+    summarize,
+    sweep,
+    write_run_csv,
+    write_summary_csv,
+)
 
 
 def _nonempty(items: list) -> list:
@@ -49,6 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[cell], help="summaries over a filter x particle grid")
     sw.add_argument("--filters", type=_str_list, required=True)
     sw.add_argument("--particles", type=_int_list, required=True)
+
+    cmp = sub.add_parser("compare", help="paired comparison of two run CSVs")
+    cmp.add_argument("a", metavar="A.csv")
+    cmp.add_argument("b", metavar="B.csv")
     return parser
 
 
@@ -98,10 +113,53 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_by_realization(path: str) -> list[RunRecord]:
+    try:
+        records = read_run_csv(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    return sorted(records, key=lambda rec: rec.realization)
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    # runtime_s differs between any two runs, so only metric and diverged count
+    a, b = _read_by_realization(args.a), _read_by_realization(args.b)
+    if [rec.realization for rec in a] != [rec.realization for rec in b]:
+        raise ValueError(f"{args.a} and {args.b} hold different realization sets")
+    sides = {"A": a, "B": b}
+    rows = {
+        side: "".join(f"{rec.realization},{rec.metric!r},{int(rec.diverged)}\n" for rec in records)
+        for side, records in sides.items()
+    }
+    if rows["A"] == rows["B"]:
+        print(f"identical: {len(a)} realizations")
+    else:
+        # a pair counts as diverged when either side diverged
+        paired = summarize(
+            [RunRecord(ra.realization, None, rb.metric - ra.metric, 0.0, ra.diverged or rb.diverged)
+             for ra, rb in zip(a, b)]
+        )
+        print(
+            f"B - A: mean {paired.metric_mean:.6g} se {paired.metric_se:.3g} "
+            f"over {len(a) - paired.diverged_count} realizations converged in both"
+        )
+    for side, records in sides.items():
+        diverged = sum(rec.diverged for rec in records)
+        digest = hashlib.sha256(rows[side].encode()).hexdigest()
+        print(f"{side}: diverged {diverged}/{len(records)} sha256 {digest}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "compare":
+            return _cmd_compare(args)
+        # fail before any realization runs, not when the CSV is written
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"--out directory {out_dir!r} does not exist")
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)

@@ -45,9 +45,9 @@ class StateSpaceModel:
     draws that ``process`` colors internally.
     ``measurement_log_likelihood(y, X)`` takes the length-d_y observation
     and returns the length-M vector of log-densities, which must agree with
-    the law of ``sample_measurement_noise``.  ``sample_prior(rng)`` draws
-    one state.  ``prior_mean``/``prior_cov`` are the moments of the
-    initial-state prior used by the Gaussian-belief filters.
+    the law of ``sample_measurement_noise``.  ``sample_prior(rng, M)`` draws
+    M initial states, d x M.  ``prior_mean``/``prior_cov`` are the moments
+    of the initial-state prior used by the Gaussian-belief filters.
     """
 
     name: str
@@ -60,7 +60,7 @@ class StateSpaceModel:
     sample_process_noise: Callable[[np.random.Generator, int], np.ndarray]
     sample_measurement_noise: Callable[[np.random.Generator, int], np.ndarray]
     measurement_log_likelihood: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sample_prior: Callable[[np.random.Generator], np.ndarray]
+    sample_prior: Callable[[np.random.Generator, int], np.ndarray]
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     process_noise_cov: Callable[[np.ndarray, int], np.ndarray]
@@ -149,7 +149,7 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
         measurement_noise_dim=1,
         process=process,
         sample_process_noise=sample_process_noise,
-        sample_prior=lambda rng: np.array([0.1]),
+        sample_prior=lambda rng, count: np.full((1, count), 0.1),
         prior_mean=np.array([0.1]),
         prior_cov=np.zeros((1, 1)),
         process_noise_cov=lambda x, n: np.eye(1),
@@ -225,8 +225,8 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
     def sample_process_noise(rng, count):
         return BOT_PROCESS_STD * rng.standard_normal((2, count))
 
-    def sample_prior(rng):
-        return BOT_PRIOR_MEAN + prior_root @ rng.standard_normal(4)
+    def sample_prior(rng, count):
+        return BOT_PRIOR_MEAN[:, None] + prior_root @ rng.standard_normal((count, 4)).T
 
     return StateSpaceModel(
         name="bot-cv",
@@ -352,9 +352,11 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
     def sample_process_noise(rng, count):
         return rng.standard_normal((5, count))
 
-    def sample_prior(rng):
-        pos = BOT_PRIOR_MEAN + prior_root4 @ rng.standard_normal(4)
-        return np.append(pos, rng.uniform(0.0, CT_RATE_PRIOR_HIGH))
+    def sample_prior(rng, count):
+        # Four normals, then one uniform, per particle: a batched draw would
+        # reshuffle every bot-ct realization to save under 1% of one.
+        draws = [(rng.standard_normal(4), rng.uniform(0, CT_RATE_PRIOR_HIGH)) for _ in range(count)]
+        return np.column_stack([np.append(BOT_PRIOR_MEAN + prior_root4 @ z, u) for z, u in draws])
 
     def process_noise_cov(x, n):
         cov = np.zeros((5, 5))
@@ -401,7 +403,7 @@ def simulate(model: StateSpaceModel, N: int, rng: np.random.Generator) -> Trajec
         raise ValueError("N must be at least 1")
     states = np.empty((model.state_dim, N))
     observations = np.empty((model.obs_dim, N))
-    x = model.sample_prior(rng)[:, None]
+    x = model.sample_prior(rng, 1)
     for n in range(1, N + 1):
         x = model.process(x, model.sample_process_noise(rng, 1), n)
         if not np.isfinite(x).all():

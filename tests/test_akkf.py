@@ -64,7 +64,7 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
         sample_process_noise=sample_noise,
         sample_measurement_noise=sample_noise,
         measurement_log_likelihood=log_likelihood,
-        sample_prior=lambda rng: rng.standard_normal(1),
+        sample_prior=lambda rng, count: rng.standard_normal((1, count)),
         prior_mean=np.zeros(1),
         prior_cov=np.eye(1),
         process_noise_cov=lambda x, n: var * np.eye(1),
@@ -691,7 +691,7 @@ def assert_close_normwise(actual, expected, rtol):
 def prior_draws(scenario, m, rng, spread=1.0):
     """m prior draws of a scenario, pulled towards the prior mean by ``spread``."""
     model = build_model(scenario)
-    draws = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+    draws = model.sample_prior(rng, m)
     mean = model.prior_mean[:, None]
     return Ensemble(mean + spread * (draws - mean))
 

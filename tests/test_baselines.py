@@ -74,7 +74,7 @@ def linear_model(
         sample_process_noise=sample_noise,
         sample_measurement_noise=sample_noise,
         measurement_log_likelihood=log_likelihood or default_log_likelihood,
-        sample_prior=lambda rng: np.array([prior_mean + prior_std * rng.standard_normal()]),
+        sample_prior=lambda rng, count: prior_mean + prior_std * rng.standard_normal((1, count)),
         prior_mean=np.array([prior_mean]),
         prior_cov=np.array([[prior_std * prior_std]]),
         process_noise_cov=lambda x, n: var * np.eye(1),

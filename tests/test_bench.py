@@ -419,6 +419,72 @@ class TestCli:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_in_missing_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+                                                              command):
+        import kkbench.bench as bench_mod
+        import kkbench.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_mc", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(bench_mod, "run_mc", lambda *args, **kwargs: calls.append(args))
+        cell = {"run": ["--filter", "pf", "--particles", "10"],
+                "sweep": ["--filters", "pf", "--particles", "10"]}[command]
+        rc = main([command, "--scenario", "ungm", *cell, "--realizations", "1", "--seed", "0",
+                   "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("kkbench: ")
+        assert not (tmp_path / "missing").exists()
+
+
+def write_records(path, metrics, diverged=None, runtime_s=0.1):
+    """A run CSV with the given metrics for realizations 0..n-1."""
+    diverged = diverged or [False] * len(metrics)
+    records = [RunRecord(r, None, m, runtime_s, d) for r, (m, d) in enumerate(zip(metrics, diverged))]
+    write_run_csv(path, ScenarioConfig("ungm", "pf", 10, len(records), 0), records)
+    return path
+
+
+class TestCompare:
+    def test_identical_ignores_runtime(self, tmp_path, capsys):
+        metrics, diverged = [1.0, 2.5, float("nan")], [False, False, True]
+        a = write_records(tmp_path / "a.csv", metrics, diverged, runtime_s=0.1)
+        b = write_records(tmp_path / "b.csv", metrics, diverged, runtime_s=0.3)
+        assert main(["compare", str(a), str(b)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "identical: 3 realizations"
+        assert lines[1].startswith("A: diverged 1/3 sha256 ")
+        assert lines[2].startswith("B: diverged 1/3 sha256 ")
+        assert lines[1].split()[-1] == lines[2].split()[-1]
+
+    def test_shifted_reports_paired_difference(self, tmp_path, capsys):
+        # realization 2 diverged on one side only, so the pair is left out
+        a = write_records(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+        b = write_records(tmp_path / "b.csv", [1.5, 2.25, float("nan"), 4.75],
+                          [False, False, True, False])
+        assert main(["compare", str(a), str(b)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        diffs = np.array([0.5, 0.25, 0.75])
+        se = diffs.std(ddof=1) / np.sqrt(3)
+        assert lines[0] == f"B - A: mean 0.5 se {se:.3g} over 3 realizations converged in both"
+        assert lines[1].startswith("A: diverged 0/4 ")
+        assert lines[2].startswith("B: diverged 1/4 ")
+        assert lines[1].split()[-1] != lines[2].split()[-1]
+
+    def test_different_realization_sets_exit_2(self, tmp_path, capsys):
+        a = write_records(tmp_path / "a.csv", [1.0, 2.0, 3.0])
+        b = write_records(tmp_path / "b.csv", [1.0, 2.0])
+        assert main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "different realization sets" in captured.err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        a = write_records(tmp_path / "a.csv", [1.0])
+        assert main(["compare", str(a), str(tmp_path / "nope.csv")]) == 2
+        assert capsys.readouterr().err.startswith("kkbench: cannot read ")
+
 
 def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -164,7 +164,7 @@ def test_self_gram_symmetric_and_psd(kind, seed, d, m):
 def bearing_ensemble(rng, m):
     """m bearings (1 x m) of bot-cv prior draws, as the AKKF's observation particles."""
     model = build_model("bot-cv")
-    states = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+    states = model.sample_prior(rng, m)
     return Ensemble(model.measure(states, model.sample_measurement_noise(rng, m)))
 
 

@@ -1,5 +1,6 @@
 """Benchmark models: growth model, bearings-only setups, simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
 from kkbench import (
+    AkkfConfig,
+    KernelSpec,
     SimulationDivergedError,
     StateSpaceModel,
     Trajectory,
@@ -19,6 +22,8 @@ from kkbench import (
     build_model,
     ct_noise_cov,
     ct_transition,
+    init,
+    pf_init,
     psd_repair,
     simulate,
     ungm,
@@ -58,7 +63,7 @@ class TestUngm:
     def test_prior_deterministic(self):
         model = ungm()
         rng = np.random.default_rng(0)
-        assert_array_equal(model.sample_prior(rng), [0.1])
+        assert_array_equal(model.sample_prior(rng, 1)[:, 0], [0.1])
         assert_array_equal(model.prior_mean, [0.1])
         assert_array_equal(model.prior_cov, [[0.0]])
 
@@ -138,7 +143,7 @@ class TestBotCv:
         # simulation draws from sample_prior, the Gaussian filters start from prior_cov
         model = bot_cv()
         rng = np.random.default_rng(5)
-        draws = np.array([model.sample_prior(rng) for _ in range(20000)])
+        draws = model.sample_prior(rng, 20000).T
         assert_allclose(draws.mean(axis=0), BOT_PRIOR_MEAN, atol=0.01)
         assert_allclose(np.cov(draws.T), model.prior_cov, rtol=0.05, atol=3e-3)
 
@@ -250,7 +255,7 @@ class TestBotCt:
     def test_prior_rate_uniform(self):
         model = bot_ct()
         rng = np.random.default_rng(2)
-        draws = np.array([model.sample_prior(rng)[4] for _ in range(2000)])
+        draws = model.sample_prior(rng, 2000)[4]
         assert draws.min() >= 0.0
         assert draws.max() <= math.pi / 6.0
         assert_allclose(draws.mean(), math.pi / 12.0, atol=0.02)
@@ -284,7 +289,7 @@ class TestBatchedCallbacks:
         horizon = model.default_horizon
         n = {"first": 1, "switch": horizon // 2, "last": horizon}[step]
         rng = np.random.default_rng(seed)
-        X = np.column_stack([model.sample_prior(rng) for _ in range(m)])
+        X = model.sample_prior(rng, m)
         X = X + rng.standard_normal(X.shape)
         N = model.sample_process_noise(rng, m)
         V = model.sample_measurement_noise(rng, m)
@@ -301,6 +306,41 @@ class TestBatchedCallbacks:
             assert_array_equal(moved[:, one], model.process(X[:, one], N[:, one], n))
             assert_array_equal(observed[:, one], model.measure(X[:, one], V[:, one]))
             assert_array_equal(log_lik[one], model.measurement_log_likelihood(y, X[:, one]))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["ungm", "bot-cv", "bot-ct"]),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prior_batch_reads_the_stream_as_single_draws(self, name, count, seed):
+        # one batched prior draw consumes the generator exactly as count
+        # single draws do, so the batch changes no realization
+        model = build_model(name)
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = model.sample_prior(rng, count)
+        singles = np.column_stack([model.sample_prior(rng2, 1) for _ in range(count)])
+        assert batch.shape == (model.state_dim, count)
+        assert_array_equal(batch, singles)
+        assert rng.random() == rng2.random()
+
+    @pytest.mark.parametrize("filter_init", ["pf", "akkf"])
+    def test_init_draws_the_prior_once(self, filter_init):
+        calls = []
+        base = bot_cv()
+
+        def sample_prior(rng, count):
+            calls.append(count)
+            return base.sample_prior(rng, count)
+
+        model = dataclasses.replace(base, sample_prior=sample_prior)
+        rng = np.random.default_rng(0)
+        if filter_init == "pf":
+            pf_init(model, 30, rng)
+        else:
+            init(model, AkkfConfig(KernelSpec("quadratic"), M=30), rng)
+        assert calls == [30]
 
 
 def toy_model(blowup_at=None):
@@ -320,7 +360,7 @@ def toy_model(blowup_at=None):
         sample_process_noise=lambda rng, count: np.zeros((1, count)),
         sample_measurement_noise=lambda rng, count: np.zeros((1, count)),
         measurement_log_likelihood=lambda y, x: -0.5 * (y[0] - 2.0 * x[0]) ** 2,
-        sample_prior=lambda rng: np.array([0.0]),
+        sample_prior=lambda rng, count: np.zeros((1, count)),
         prior_mean=np.zeros(1),
         prior_cov=np.zeros((1, 1)),
         process_noise_cov=lambda x, n: np.zeros((1, 1)),
