@@ -15,12 +15,9 @@ from .akkf import (
 )
 from .baselines import (
     DegenerateWeightsError,
-    KkrModel,
     PfState,
     UkfState,
     gpf_step,
-    kkr_fit,
-    kkr_step,
     pf_init,
     pf_step,
     systematic_resample,

