@@ -16,7 +16,6 @@ from .akkf import (
 from .baselines import (
     DegenerateWeightsError,
     PfState,
-    UkfState,
     gpf_step,
     pf_init,
     pf_step,

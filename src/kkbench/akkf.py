@@ -25,7 +25,6 @@ from .kernels import (
     extract_moments_poly,
     feature_dim,
     feature_map,
-    gaussian_self_gram,
     gram,
     low_rank_factor,
     project_moments,
@@ -238,8 +237,7 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
     T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
     the finite-sample propagation error of the proposal basis.  When
     ``particles is proposals`` Gamma is T itself, so the solve takes K alone.
-    A Gaussian kernel resolves its bandwidth and builds K from one pass of
-    pairwise distances (:func:`~kkbench.kernels.gaussian_self_gram`).
+    A Gaussian kernel resolves its bandwidth on the proposals first.
 
     A polynomial kernel whose feature count r = C(d+p, p) is at most
     :data:`LOW_RANK_MAX_SHARE` of M solves in feature space instead.  With
@@ -267,10 +265,8 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
         W = ridge_solve(C, lam, rhs, name="proposal feature gram", half=True)
         P = W[:, -m:]
         return BasisChange(W[:, : particles.count], (P @ P.T - 2.0 * np.eye(len(C))) / m, P)
-    if spec.kind == "gaussian":
-        spec, K_pp = gaussian_self_gram(spec, proposals)
-    else:
-        K_pp = gram(spec, proposals, proposals)
+    spec = resolve_bandwidth(spec, proposals)
+    K_pp = gram(spec, proposals, proposals)
     rhs = K_pp if particles is proposals else np.hstack([gram(spec, proposals, particles), K_pp])
     lam = cfg.lambda_tilde * _gram_scale(K_pp)
     X = ridge_solve(K_pp, lam, rhs, name="proposal self-gram")

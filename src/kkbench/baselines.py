@@ -37,14 +37,6 @@ UKF_BETA = 2.0
 UKF_KAPPA = 0.0
 
 
-@dataclass
-class UkfState:
-    """Unscented filter state: a Gaussian belief and the step count."""
-
-    belief: GaussianBelief
-    n: int = 0
-
-
 def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> PfState:
     """Draw M prior particles with uniform weights."""
     return PfState(Ensemble(model.sample_prior(rng, M)), np.full(M, 1.0 / M))
@@ -138,23 +130,24 @@ def _sigma_weights(d: int, lam: float, alpha: float, beta: float):
     return w_mean, w_cov
 
 
-def ukf_step(state: UkfState, y_n, model: StateSpaceModel) -> UkfState:
+def ukf_step(belief: GaussianBelief, y_n, model: StateSpaceModel, n: int) -> GaussianBelief:
     """Additive-noise unscented update with 2d+1 sigma points.
 
-    Observation residuals pass through the model's wrap function when one
-    is defined, so bearing innovations stay in (-pi, pi].
+    ``n`` is the 1-based index of the step being produced.  Observation
+    residuals pass through the model's wrap function when one is defined,
+    so bearing innovations stay in (-pi, pi].  A posterior covariance that
+    comes out indefinite is PSD-repaired, with a warning.
     """
     d = model.state_dim
-    n = state.n + 1
     zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
-    zero_v = np.zeros((model.measurement_noise_dim, 2 * d + 1))
+    zero_v = np.zeros((model.obs_dim, 2 * d + 1))
 
-    points, lam = _sigma_points(state.belief, UKF_ALPHA, UKF_KAPPA)
+    points, lam = _sigma_points(belief, UKF_ALPHA, UKF_KAPPA)
     w_mean, w_cov = _sigma_weights(d, lam, UKF_ALPHA, UKF_BETA)
     propagated = model.process(points, zero_u, n)
     mean_pred = propagated @ w_mean
     centered = propagated - mean_pred[:, None]
-    cov_pred = (centered * w_cov) @ centered.T + model.process_noise_cov(state.belief.mean, n)
+    cov_pred = (centered * w_cov) @ centered.T + model.process_noise_cov(belief.mean)
     predicted = GaussianBelief(mean_pred, psd_repair(cov_pred))
 
     points2, _ = _sigma_points(predicted, UKF_ALPHA, UKF_KAPPA)
@@ -172,11 +165,7 @@ def ukf_step(state: UkfState, y_n, model: StateSpaceModel) -> UkfState:
         residual = model.wrap_residual(residual)
     mean_new = predicted.mean + gain @ residual
     cov_new = predicted.cov - gain @ innovation_cov @ gain.T
-    eigenvalues = np.linalg.eigvalsh((cov_new + cov_new.T) / 2.0)
-    if eigenvalues[0] < 0.0:
+    cov_repaired = psd_repair(cov_new)
+    if not np.array_equal(cov_repaired, (cov_new + cov_new.T) / 2.0):
         warnings.warn("unscented update produced a non-PSD covariance; repairing")
-        cov_new = psd_repair(cov_new)
-    else:
-        cov_new = (cov_new + cov_new.T) / 2.0
-    return UkfState(GaussianBelief(mean_new, cov_new), n)
-
+    return GaussianBelief(mean_new, cov_repaired)

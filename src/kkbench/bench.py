@@ -20,8 +20,6 @@ import numpy as np
 from .akkf import AkkfConfig, FilterDivergedError, filter_sequence
 from .baselines import (
     DegenerateWeightsError,
-    PfState,
-    UkfState,
     gpf_step,
     pf_init,
     pf_step,
@@ -80,7 +78,6 @@ class RunRecord:
     """Outcome of one realization."""
 
     realization: int
-    estimates: np.ndarray | None
     metric: float
     runtime_s: float
     diverged: bool
@@ -165,10 +162,10 @@ def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.
             belief = gpf_step(belief, observations[:, n], model, cfg.M, rng, n + 1)
             estimates[:, n] = belief.mean
     elif name == "ukf":
-        state = UkfState(GaussianBelief(model.prior_mean, model.prior_cov))
+        belief = GaussianBelief(model.prior_mean, model.prior_cov)
         for n in range(horizon):
-            state = ukf_step(state, observations[:, n], model)
-            estimates[:, n] = state.belief.mean
+            belief = ukf_step(belief, observations[:, n], model, n + 1)
+            estimates[:, n] = belief.mean
     else:
         raise ValueError(f"unknown filter {name!r}")
     return estimates
@@ -196,16 +193,16 @@ def run_one(cfg: ScenarioConfig, r: int) -> RunRecord:
     try:
         trajectory = simulate(model, model.default_horizon, rng)
     except SimulationDivergedError:
-        return RunRecord(r, None, float("nan"), 0.0, True)
+        return RunRecord(r, float("nan"), 0.0, True)
     start = time.perf_counter()
     try:
         estimates = run_filter(cfg, model, trajectory.observations, rng)
         runtime = time.perf_counter() - start
         metric = scenario_metric(cfg.scenario, trajectory.states, estimates)
     except (FilterDivergedError, DegenerateWeightsError, SingularMatrixError):
-        return RunRecord(r, None, float("nan"), time.perf_counter() - start, True)
+        return RunRecord(r, float("nan"), time.perf_counter() - start, True)
     diverged = not (np.isfinite(metric) and np.isfinite(estimates).all())
-    return RunRecord(r, estimates, metric, runtime, diverged)
+    return RunRecord(r, metric, runtime, diverged)
 
 
 def summarize(records: list[RunRecord]) -> MetricsSummary:
@@ -277,15 +274,20 @@ def write_run_csv(path, cfg: ScenarioConfig, records: list[RunRecord]) -> None:
 
 
 def read_run_csv(path) -> list[RunRecord]:
-    """Read rows written by write_run_csv; estimates are not persisted."""
+    """Read rows written by write_run_csv.
+
+    A file that lacks a column of ``RUN_HEADER`` raises ``ValueError``.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in RUN_HEADER:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path} is not a run CSV: no {column!r} column")
         for row in reader:
             records.append(
                 RunRecord(
                     realization=int(row["realization"]),
-                    estimates=None,
                     metric=float(row["metric"]),
                     runtime_s=float(row["runtime_s"]),
                     diverged=bool(int(row["diverged"])),

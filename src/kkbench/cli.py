@@ -136,7 +136,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         # a pair counts as diverged when either side diverged
         paired = summarize(
-            [RunRecord(ra.realization, None, rb.metric - ra.metric, 0.0, ra.diverged or rb.diverged)
+            [RunRecord(ra.realization, rb.metric - ra.metric, 0.0, ra.diverged or rb.diverged)
              for ra, rb in zip(a, b)]
         )
         print(

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpstrf, dtrtri
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
 POLY_KINDS = tuple(POLY_DEGREE)
@@ -127,11 +127,6 @@ class GaussianBelief:
         return self.mean[:, None] + psd_root(self.cov) @ z
 
 
-def _median_bandwidth(spec: KernelSpec, distances: np.ndarray) -> KernelSpec:
-    med = float(np.median(distances))
-    return replace(spec, sigma=med if med > 0 else 1.0)
-
-
 def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
     """Fix a Gaussian bandwidth by the median heuristic on an ensemble.
 
@@ -144,28 +139,17 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
         return spec
     if ensemble.count < 2:
         raise ValueError("median heuristic needs at least two particles")
-    return _median_bandwidth(spec, pdist(ensemble.particles.T))
-
-
-def gaussian_self_gram(spec: KernelSpec, E: Ensemble) -> tuple[KernelSpec, np.ndarray]:
-    """Resolve a Gaussian bandwidth on E and build E's self-Gram with it.
-
-    One pass of pairwise squared distances serves both the median
-    heuristic (through their square roots) and the Gram, and the result is
-    bit for bit that of :func:`resolve_bandwidth` followed by :func:`gram`.
-    """
-    sq = pdist(E.particles.T, "sqeuclidean")
-    if spec.sigma is None:
-        spec = _median_bandwidth(spec, np.sqrt(sq))
-    return spec, np.exp(-squareform(sq) / spec.sigma**2)
+    med = float(np.median(pdist(ensemble.particles.T)))
+    return replace(spec, sigma=med if med > 0 else 1.0)
 
 
 def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     """Assemble the Gram matrix K[i, j] = k(a_i, b_j) over the particles of A and B.
 
-    A polynomial Gram of an ensemble against itself is symmetrized exactly.
-    A Gaussian one needs no pass: (a - b)^2 and (b - a)^2 are equal bit for
-    bit, so its squared distances, and their exponentials, already are.
+    A polynomial Gram of an ensemble against itself (``A is B``) is
+    symmetrized exactly.  A Gaussian one needs no pass: (a - b)^2 and
+    (b - a)^2 are equal bit for bit, so its squared distances, and their
+    exponentials, already are.
     """
     if not spec.resolved:
         raise ValueError("gaussian bandwidth is unresolved")
@@ -175,7 +159,7 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
         sq = cdist(A.particles.T, B.particles.T, "sqeuclidean")
         return np.exp(-sq / spec.sigma**2)
     values = (A.particles.T @ B.particles + spec.c) ** POLY_DEGREE[spec.kind]
-    if A is B or (A.count == B.count and np.array_equal(A.particles, B.particles)):
+    if A is B:
         values = (values + values.T) / 2.0
     return values
 

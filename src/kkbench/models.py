@@ -39,7 +39,8 @@ class StateSpaceModel:
     ``process(X, N, n)`` advances a d x M state batch one step with a
     matching noise batch and returns d x M, where ``n`` is the 1-based index
     of the step being produced; ``measure(X, V)`` returns the d_y x M
-    observations.  ``sample_process_noise(rng, M)`` and
+    observations, with one measurement-noise coordinate per observation
+    coordinate, so V is d_y x M too.  ``sample_process_noise(rng, M)`` and
     ``sample_measurement_noise(rng, M)`` draw those batches, one column per
     particle; for models with state-dependent noise the sampler returns unit
     draws that ``process`` colors internally.
@@ -47,14 +48,14 @@ class StateSpaceModel:
     and returns the length-M vector of log-densities, which must agree with
     the law of ``sample_measurement_noise``.  ``sample_prior(rng, M)`` draws
     M initial states, d x M.  ``prior_mean``/``prior_cov`` are the moments
-    of the initial-state prior used by the Gaussian-belief filters.
+    of the initial-state prior used by the Gaussian-belief filters, and
+    ``process_noise_cov(x)`` the additive process-noise covariance at state
+    ``x`` that the UKF adds.
     """
 
-    name: str
     state_dim: int
     obs_dim: int
     process_noise_dim: int
-    measurement_noise_dim: int
     process: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sample_process_noise: Callable[[np.random.Generator, int], np.ndarray]
@@ -63,7 +64,7 @@ class StateSpaceModel:
     sample_prior: Callable[[np.random.Generator, int], np.ndarray]
     prior_mean: np.ndarray
     prior_cov: np.ndarray
-    process_noise_cov: Callable[[np.ndarray, int], np.ndarray]
+    process_noise_cov: Callable[[np.ndarray], np.ndarray]
     measurement_noise_cov: np.ndarray
     default_horizon: int
     wrap_residual: Callable[[np.ndarray], np.ndarray] | None = None
@@ -142,17 +143,15 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
         return rng.standard_normal((1, count))
 
     return StateSpaceModel(
-        name="ungm",
         state_dim=1,
         obs_dim=1,
         process_noise_dim=1,
-        measurement_noise_dim=1,
         process=process,
         sample_process_noise=sample_process_noise,
         sample_prior=lambda rng, count: np.full((1, count), 0.1),
         prior_mean=np.array([0.1]),
         prior_cov=np.zeros((1, 1)),
-        process_noise_cov=lambda x, n: np.eye(1),
+        process_noise_cov=lambda x: np.eye(1),
         default_horizon=horizon,
         **_measurement_law(lambda X: X[0] * X[0] / 20.0, 1.0),
     )
@@ -229,17 +228,15 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
         return BOT_PRIOR_MEAN[:, None] + prior_root @ rng.standard_normal((count, 4)).T
 
     return StateSpaceModel(
-        name="bot-cv",
         state_dim=4,
         obs_dim=1,
         process_noise_dim=2,
-        measurement_noise_dim=1,
         process=process,
         sample_process_noise=sample_process_noise,
         sample_prior=sample_prior,
         prior_mean=BOT_PRIOR_MEAN.copy(),
         prior_cov=prior_cov,
-        process_noise_cov=lambda x, n: q_cov,
+        process_noise_cov=lambda x: q_cov,
         default_horizon=horizon,
         **_bearing_law(),
     )
@@ -358,18 +355,16 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
         draws = [(rng.standard_normal(4), rng.uniform(0, CT_RATE_PRIOR_HIGH)) for _ in range(count)]
         return np.column_stack([np.append(BOT_PRIOR_MEAN + prior_root4 @ z, u) for z, u in draws])
 
-    def process_noise_cov(x, n):
+    def process_noise_cov(x):
         cov = np.zeros((5, 5))
         cov[:4, :4] = CT_PROCESS_STD**2 * ct_noise_cov(x[4])
         cov[4, 4] = CT_RATE_STD**2
         return cov
 
     return StateSpaceModel(
-        name="bot-ct",
         state_dim=5,
         obs_dim=1,
         process_noise_dim=5,
-        measurement_noise_dim=1,
         process=process,
         sample_process_noise=sample_process_noise,
         sample_prior=sample_prior,

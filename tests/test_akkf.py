@@ -54,11 +54,9 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
         return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
 
     return StateSpaceModel(
-        name="identity",
         state_dim=1,
         obs_dim=1,
         process_noise_dim=1,
-        measurement_noise_dim=1,
         process=process,
         measure=measure,
         sample_process_noise=sample_noise,
@@ -67,7 +65,7 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
         sample_prior=lambda rng, count: rng.standard_normal((1, count)),
         prior_mean=np.zeros(1),
         prior_cov=np.eye(1),
-        process_noise_cov=lambda x, n: var * np.eye(1),
+        process_noise_cov=lambda x: var * np.eye(1),
         measurement_noise_cov=var * np.eye(1),
         default_horizon=10,
     )
@@ -189,8 +187,8 @@ class TestInit:
     def test_one_gram_and_m_column_solve(self, monkeypatch):
         # the prior draws are their own basis, so init needs the self-Gram
         # alone and solves M right-hand-side columns for the residual; on
-        # a Gaussian kernel the bandwidth and the self-Gram share one
-        # pairwise-distance pass and no cross-Gram is built
+        # a Gaussian kernel the median bandwidth takes one pairwise-distance
+        # pass and the self-Gram another, and no cross-Gram is built
         grams, widths, passes = [], [], []
         real_gram, real_solve = akkf.gram, akkf.ridge_solve
         real_pdist, real_cdist = kernels.pdist, kernels.cdist
@@ -217,8 +215,8 @@ class TestInit:
         monkeypatch.setattr(kernels, "cdist", counting_cdist)
         cfg = AkkfConfig(KernelSpec("gaussian"), M=7)
         init(identity_model(), cfg, np.random.default_rng(0))
-        assert grams == []
-        assert passes == [("pdist", 7)]
+        assert grams == [(7, 7)]
+        assert passes == [("pdist", 7), ("cdist", 7)]
         assert widths == [7]
 
     def test_deterministic_prior_gives_equal_particles(self):

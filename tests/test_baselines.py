@@ -5,6 +5,9 @@ as the main oracle; the Monte Carlo filters must land near it and the
 unscented filter must match it to solver precision.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +15,6 @@ from numpy.testing import assert_allclose
 from kkbench import (
     DegenerateWeightsError,
     GaussianBelief,
-    UkfState,
     gpf_step,
     pf_init,
     pf_step,
@@ -57,11 +59,9 @@ def linear_model(
         return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
 
     return StateSpaceModel(
-        name="linear",
         state_dim=1,
         obs_dim=1,
         process_noise_dim=1,
-        measurement_noise_dim=1,
         process=process,
         measure=measure,
         sample_process_noise=sample_noise,
@@ -70,7 +70,7 @@ def linear_model(
         sample_prior=lambda rng, count: prior_mean + prior_std * rng.standard_normal((1, count)),
         prior_mean=np.array([prior_mean]),
         prior_cov=np.array([[prior_std * prior_std]]),
-        process_noise_cov=lambda x, n: var * np.eye(1),
+        process_noise_cov=lambda x: var * np.eye(1),
         measurement_noise_cov=var * np.eye(1),
         default_horizon=5,
         wrap_residual=wrap_residual,
@@ -272,33 +272,43 @@ class TestUkf:
         # the unscented transform is exact for linear dynamics, so five
         # steps must reproduce the closed-form recursion to solver precision
         model = linear_model()
-        state = UkfState(GaussianBelief(model.prior_mean, model.prior_cov))
+        belief = GaussianBelief(model.prior_mean, model.prior_cov)
         means = []
-        for y in YS:
-            state = ukf_step(state, np.array([y]), model)
-            means.append(state.belief.mean[0])
+        for n, y in enumerate(YS, start=1):
+            belief = ukf_step(belief, np.array([y]), model, n)
+            means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, rtol=1e-8)
 
     def test_posterior_covariance_matches_kalman(self):
         model = linear_model()
-        state = UkfState(GaussianBelief(model.prior_mean, model.prior_cov))
-        state = ukf_step(state, np.array([1.2]), model)
+        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        belief = ukf_step(belief, np.array([1.2]), model, 1)
         p_pred = 0.81 * 1.0 + 0.25
         p_post = p_pred * (1.0 - p_pred / (p_pred + 0.25))
-        assert state.belief.cov[0, 0] == pytest.approx(p_post, rel=1e-8)
+        assert belief.cov[0, 0] == pytest.approx(p_post, rel=1e-8)
 
     def test_wrapped_innovation_pulls_the_short_way(self):
         # an observation one full turn up minus a small angle must correct
         # the mean downward once residual wrapping is active
         model = linear_model(a=1.0, wrap_residual=wrap_angle)
-        state = UkfState(GaussianBelief(np.zeros(1), 0.01 * np.eye(1)))
+        belief = GaussianBelief(np.zeros(1), 0.01 * np.eye(1))
         y = np.array([2.0 * np.pi - 0.1])
-        out = ukf_step(state, y, model)
-        assert out.belief.mean[0] < 0.0
+        out = ukf_step(belief, y, model, 1)
+        assert out.mean[0] < 0.0
 
-    def test_time_index_advances(self):
+    def test_warns_exactly_when_repair_clips(self):
+        # a measurement noise variance R in (-P, 0) over-contracts the
+        # update: P - P^2 / (P + R) < 0, which the repair clips to zero
+        model = dataclasses.replace(linear_model(), measurement_noise_cov=np.array([[-0.2]]))
+        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        with pytest.warns(UserWarning, match="non-PSD covariance"):
+            out = ukf_step(belief, np.array([1.2]), model, 1)
+        assert out.cov[0, 0] == 0.0
+        # the linear-Gaussian update stays PSD and passes unrepaired
         model = linear_model()
-        state = UkfState(GaussianBelief(model.prior_mean, model.prior_cov))
-        state = ukf_step(state, np.array([1.0]), model)
-        assert state.n == 1
+        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, y in enumerate(YS, start=1):
+                belief = ukf_step(belief, np.array([y]), model, n)
 

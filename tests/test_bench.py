@@ -109,7 +109,6 @@ class TestRealizationStreams:
         records5, _ = run_mc(ScenarioConfig(realizations=5, **base))
         for r3, r5 in zip(records3, records5):
             assert r3.metric == r5.metric
-            assert np.array_equal(r3.estimates, r5.estimates)
 
 
 class TestRunOne:
@@ -120,7 +119,6 @@ class TestRunOne:
         assert not rec.diverged
         assert np.isfinite(rec.metric)
         assert rec.runtime_s > 0.0
-        assert rec.estimates.shape == (1, 100)
 
     def test_filter_divergence_recorded_not_raised(self, monkeypatch):
         import kkbench.bench as bench_mod
@@ -132,7 +130,6 @@ class TestRunOne:
         rec = run_one(ScenarioConfig("ungm", "pf", 10, 1, 0), 0)
         assert rec.diverged
         assert np.isnan(rec.metric)
-        assert rec.estimates is None
 
     @pytest.mark.parametrize("metric", [float("inf"), float("-inf"), float("nan")])
     def test_nonfinite_metric_marks_divergence(self, monkeypatch, metric):
@@ -166,7 +163,6 @@ class TestRunOne:
         cfg = ScenarioConfig(scenario, filt, 5, 1, 0, horizon=3)
         rec = run_one(cfg, 0)
         assert rec.diverged
-        assert rec.estimates is None
         rc = main(
             [
                 "run",
@@ -185,8 +181,8 @@ class TestRunOne:
 class TestSummarize:
     def test_moments_over_clean_runs(self):
         records = [
-            RunRecord(0, None, 2.0, 0.1, False),
-            RunRecord(1, None, 4.0, 0.3, False),
+            RunRecord(0, 2.0, 0.1, False),
+            RunRecord(1, 4.0, 0.3, False),
         ]
         summary = summarize(records)
         assert summary.metric_mean == pytest.approx(3.0)
@@ -196,8 +192,8 @@ class TestSummarize:
 
     def test_diverged_runs_excluded_from_metric(self):
         records = [
-            RunRecord(0, None, 2.0, 0.1, False),
-            RunRecord(1, None, float("nan"), 0.3, True),
+            RunRecord(0, 2.0, 0.1, False),
+            RunRecord(1, float("nan"), 0.3, True),
         ]
         summary = summarize(records)
         assert summary.metric_mean == pytest.approx(2.0)
@@ -207,22 +203,22 @@ class TestSummarize:
         assert summary.runtime_mean_s == pytest.approx(0.2)
 
     def test_all_diverged_gives_nan(self):
-        records = [RunRecord(0, None, float("nan"), 0.1, True)]
+        records = [RunRecord(0, float("nan"), 0.1, True)]
         summary = summarize(records)
         assert np.isnan(summary.metric_mean)
         assert np.isnan(summary.metric_std)
         assert summary.diverged_count == 1
 
     def test_single_run_std_zero(self):
-        summary = summarize([RunRecord(0, None, 1.5, 0.1, False)])
+        summary = summarize([RunRecord(0, 1.5, 0.1, False)])
         assert summary.metric_std == 0.0
 
     def test_standard_error_over_kept_runs(self):
         records = [
-            RunRecord(0, None, 1.0, 0.1, False),
-            RunRecord(1, None, 2.0, 0.1, False),
-            RunRecord(2, None, float("nan"), 0.1, True),
-            RunRecord(3, None, 6.0, 0.1, False),
+            RunRecord(0, 1.0, 0.1, False),
+            RunRecord(1, 2.0, 0.1, False),
+            RunRecord(2, float("nan"), 0.1, True),
+            RunRecord(3, 6.0, 0.1, False),
         ]
         summary = summarize(records)
         assert summary.metric_se == pytest.approx(np.std([1.0, 2.0, 6.0], ddof=1) / np.sqrt(3))
@@ -287,11 +283,10 @@ class TestCsvRoundtrip:
             assert back.metric == rec.metric
             assert back.runtime_s == rec.runtime_s
             assert back.diverged == rec.diverged
-            assert back.estimates is None
 
     def test_run_csv_nan_metric(self, tmp_path):
         cfg = ScenarioConfig("ungm", "pf", 5, 1, 0)
-        records = [RunRecord(0, None, float("nan"), 0.25, True)]
+        records = [RunRecord(0, float("nan"), 0.25, True)]
         path = tmp_path / "run.csv"
         write_run_csv(path, cfg, records)
         loaded = read_run_csv(path)
@@ -402,7 +397,7 @@ class TestCli:
         import kkbench.cli as cli_mod
 
         def fake_run_mc(cfg, workers=1):
-            records = [RunRecord(0, None, float("nan"), 0.0, True)]
+            records = [RunRecord(0, float("nan"), 0.0, True)]
             return records, MetricsSummary(float("nan"), float("nan"), 1, 0.0, float("nan"))
 
         monkeypatch.setattr(cli_mod, "run_mc", fake_run_mc)
@@ -441,7 +436,7 @@ class TestCli:
 def write_records(path, metrics, diverged=None, runtime_s=0.1):
     """A run CSV with the given metrics for realizations 0..n-1."""
     diverged = diverged or [False] * len(metrics)
-    records = [RunRecord(r, None, m, runtime_s, d) for r, (m, d) in enumerate(zip(metrics, diverged))]
+    records = [RunRecord(r, m, runtime_s, d) for r, (m, d) in enumerate(zip(metrics, diverged))]
     write_run_csv(path, ScenarioConfig("ungm", "pf", 10, len(records), 0), records)
     return path
 
@@ -484,6 +479,18 @@ class TestCompare:
         a = write_records(tmp_path / "a.csv", [1.0])
         assert main(["compare", str(a), str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("kkbench: cannot read ")
+
+    def test_summary_csv_exits_2(self, tmp_path, capsys):
+        # a sweep summary has no per-realization rows
+        a = write_records(tmp_path / "a.csv", [1.0])
+        summary = tmp_path / "summary.csv"
+        cfg = ScenarioConfig("ungm", "pf", 10, 1, 0)
+        write_summary_csv(summary, [(cfg, MetricsSummary(1.0, 0.0, 0, 0.1, 0.0))])
+        assert main(["compare", str(a), str(summary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kkbench: ")
+        assert str(summary) in err
+        assert "'realization'" in err
 
 
 def load_tracing():

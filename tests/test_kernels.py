@@ -20,7 +20,7 @@ from kkbench import (
     resolve_bandwidth,
     ridge_solve,
 )
-from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_self_gram, low_rank_factor
+from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
 
 ALL_KINDS = ("quadratic", "quartic", "gaussian")
 
@@ -181,25 +181,6 @@ class TestGaussianSelfGram:
         twin = Ensemble(E.particles.copy())
         assert twin is not E
         assert np.array_equal(gram(spec, E, twin), K)
-
-    @pytest.mark.parametrize("d, m", [(1, 200), (4, 60), (5, 100)])
-    @pytest.mark.parametrize("sigma", [None, 0.7])
-    def test_one_pass_matches_resolve_then_gram(self, d, m, sigma):
-        # the median of the rooted squared distances is pdist's euclidean
-        # median, and the Gram is cdist's, bit for bit
-        rng = np.random.default_rng(d * m)
-        for scale in (0.01, 1.0, 30.0):
-            E = random_ensemble(rng, d, m, scale)
-            spec = KernelSpec("gaussian", sigma=sigma)
-            resolved, K = gaussian_self_gram(spec, E)
-            assert resolved == resolve_bandwidth(spec, E)
-            assert np.array_equal(K, gram(resolved, E, E))
-
-    def test_coincident_particles_fall_back_to_unit_bandwidth(self):
-        E = Ensemble(np.full((2, 4), 3.0))
-        resolved, K = gaussian_self_gram(KernelSpec("gaussian"), E)
-        assert resolved.sigma == 1.0
-        assert np.array_equal(K, np.ones((4, 4)))
 
 
 class TestResolveBandwidth:

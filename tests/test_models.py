@@ -262,10 +262,6 @@ class TestBotCt:
 
 
 class TestBuildModel:
-    def test_names(self):
-        for name in ("ungm", "bot-cv", "bot-ct"):
-            assert build_model(name).name == name
-
     def test_horizon_override(self):
         assert build_model("ungm", horizon=7).default_horizon == 7
 
@@ -350,11 +346,9 @@ def toy_model(blowup_at=None):
         return x + 1.0 + noise
 
     return StateSpaceModel(
-        name="toy",
         state_dim=1,
         obs_dim=1,
         process_noise_dim=1,
-        measurement_noise_dim=1,
         process=process,
         measure=lambda x, v: 2.0 * x + v,
         sample_process_noise=lambda rng, count: np.zeros((1, count)),
@@ -363,7 +357,7 @@ def toy_model(blowup_at=None):
         sample_prior=lambda rng, count: np.zeros((1, count)),
         prior_mean=np.zeros(1),
         prior_cov=np.zeros((1, 1)),
-        process_noise_cov=lambda x, n: np.zeros((1, 1)),
+        process_noise_cov=lambda x: np.zeros((1, 1)),
         measurement_noise_cov=np.zeros((1, 1)),
         default_horizon=5,
     )

@@ -1,13 +1,17 @@
-"""The package names that the README cites resolve."""
+"""The README's citations and code examples match the package."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # A backticked `module.name`, with or without the `kkbench.` prefix.
 CITED = re.compile(r"`(?:kkbench\.)?((?:akkf|baselines|bench|cli|kernels|models)\.[A-Za-z_][\w.]*)`")
+PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
 def resolves(name: str) -> bool:
@@ -20,7 +24,37 @@ def resolves(name: str) -> bool:
     return True
 
 
+def python_blocks() -> list[str]:
+    return PYTHON_BLOCK.findall(README.read_text(encoding="utf-8"))
+
+
 def test_cited_names_resolve():
     names = sorted(set(CITED.findall(README.read_text(encoding="utf-8"))))
     assert names, "the pattern no longer matches how the README cites names"
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_python_blocks_compile():
+    blocks = python_blocks()
+    assert blocks, "the pattern no longer matches the README's python blocks"
+    for i, block in enumerate(blocks):
+        compile(block, f"README python block {i}", "exec")
+
+
+def test_python_block_imports_resolve():
+    missing = []
+    for block in python_blocks():
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "kkbench":
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert missing == []
+
+
+def test_single_filter_block_runs():
+    [block] = [block for block in python_blocks() if "filter_sequence(" in block]
+    namespace = {}
+    exec(compile(block, "README single-filter block", "exec"), namespace)
+    estimates, model = namespace["estimates"], namespace["model"]
+    assert estimates.shape == (model.state_dim, model.default_horizon)
+    assert np.isfinite(estimates).all()
