@@ -12,7 +12,7 @@ covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,17 +56,20 @@ class FilterDivergedError(RuntimeError):
 class AkkfConfig:
     """Kernel choices and ridge parameters of one filter instance.
 
+    ``obs_sigma`` is the bandwidth of the Gaussian observation kernel;
     ``lambda_tilde`` regularizes the change-of-basis solves, ``kappa`` the
     gain solve.
     """
 
     state_kernel: KernelSpec
-    obs_kernel: KernelSpec = field(default_factory=lambda: KernelSpec("gaussian"))
+    obs_sigma: float
     M: int = 50
     lambda_tilde: float = 1e-3
     kappa: float = 1e-3
 
     def __post_init__(self) -> None:
+        if not self.obs_sigma > 0:
+            raise ValueError("obs_sigma must be positive")
         if self.M < 2:
             raise ValueError("M must be at least 2")
         if not self.lambda_tilde > 0:
@@ -310,9 +313,8 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     """Condition the weights on one observation.
 
     Observation particles are generated through the measurement model with
-    fresh noise draws, the observation kernel bandwidth is resolved on them,
-    and the gain update runs against the kernel vector of the real
-    observation.
+    fresh noise draws, and the gain update runs against the kernel vector of
+    the real observation under the fixed observation bandwidth.
     """
     cfg = state.config
     particles = state.particles
@@ -321,7 +323,7 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     if not np.isfinite(columns).all():
         raise FilterDivergedError(state.n, "observation particle")
     obs = Ensemble(columns)
-    spec = resolve_bandwidth(cfg.obs_kernel, obs)
+    spec = KernelSpec("gaussian", sigma=cfg.obs_sigma)
     G = gram(spec, obs, obs)
     target = Ensemble(np.atleast_1d(np.asarray(y_n, dtype=float)).reshape(-1, 1))
     g_vec = gram(spec, obs, target)[:, 0]

@@ -23,10 +23,9 @@ class DegenerateWeightsError(RuntimeError):
 
 @dataclass
 class PfState:
-    """Bootstrap particle filter state: particles with normalized weights."""
+    """Bootstrap particle filter state; resampled every step, so uniformly weighted."""
 
     particles: Ensemble
-    weights: np.ndarray
     n: int = 0
 
 
@@ -38,8 +37,8 @@ UKF_KAPPA = 0.0
 
 
 def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> PfState:
-    """Draw M prior particles with uniform weights."""
-    return PfState(Ensemble(model.sample_prior(rng, M)), np.full(M, 1.0 / M))
+    """Draw M prior particles."""
+    return PfState(Ensemble(model.sample_prior(rng, M)))
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -75,12 +74,11 @@ def pf_step(
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(state.weights) + log_lik
-    weights = _normalize_log_weights(log_w)
+    # log(1/m), the uniform weight, cancels in the normalization but sets its rounding
+    weights = _normalize_log_weights(log_lik + np.log(1.0 / m))
     estimate = columns @ weights
     indices = systematic_resample(weights, rng)
-    resampled = PfState(Ensemble(columns[:, indices]), np.full(m, 1.0 / m), n)
+    resampled = PfState(Ensemble(columns[:, indices]), n)
     return resampled, estimate
 
 
@@ -139,6 +137,7 @@ def ukf_step(belief: GaussianBelief, y_n, model: StateSpaceModel, n: int) -> Gau
     comes out indefinite is PSD-repaired, with a warning.
     """
     d = model.state_dim
+    wrap = model.wrap_residual or (lambda r: r)
     zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
     zero_v = np.zeros((model.obs_dim, 2 * d + 1))
 
@@ -153,16 +152,12 @@ def ukf_step(belief: GaussianBelief, y_n, model: StateSpaceModel, n: int) -> Gau
     points2, _ = _sigma_points(predicted, UKF_ALPHA, UKF_KAPPA)
     obs = model.measure(points2, zero_v)
     y_mean = obs @ w_mean
-    dy = obs - y_mean[:, None]
-    if model.wrap_residual is not None:
-        dy = model.wrap_residual(dy)
+    dy = wrap(obs - y_mean[:, None])
     dx = points2 - predicted.mean[:, None]
     innovation_cov = (dy * w_cov) @ dy.T + model.measurement_noise_cov
     cross_cov = (dx * w_cov) @ dy.T
     gain = np.linalg.solve(innovation_cov.T, cross_cov.T).T
-    residual = np.asarray(y_n, dtype=float).ravel() - y_mean
-    if model.wrap_residual is not None:
-        residual = model.wrap_residual(residual)
+    residual = wrap(np.asarray(y_n, dtype=float).ravel() - y_mean)
     mean_new = predicted.mean + gain @ residual
     cov_new = predicted.cov - gain @ innovation_cov @ gain.T
     cov_repaired = psd_repair(cov_new)

@@ -134,7 +134,7 @@ def _akkf_config(filter_name: str, cfg: ScenarioConfig) -> AkkfConfig:
     kind = filter_name.split("-", 1)[1]
     return AkkfConfig(
         state_kernel=KernelSpec(kind, c=_STATE_C[cfg.scenario]),
-        obs_kernel=KernelSpec("gaussian", sigma=_OBS_SIGMA[cfg.scenario]),
+        obs_sigma=_OBS_SIGMA[cfg.scenario],
         M=cfg.M,
         lambda_tilde=cfg.lam,
         kappa=cfg.kappa,
@@ -161,13 +161,11 @@ def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.
         for n in range(horizon):
             belief = gpf_step(belief, observations[:, n], model, cfg.M, rng, n + 1)
             estimates[:, n] = belief.mean
-    elif name == "ukf":
+    else:  # ukf; ScenarioConfig admits no other name
         belief = GaussianBelief(model.prior_mean, model.prior_cov)
         for n in range(horizon):
             belief = ukf_step(belief, observations[:, n], model, n + 1)
             estimates[:, n] = belief.mean
-    else:
-        raise ValueError(f"unknown filter {name!r}")
     return estimates
 
 
@@ -276,23 +274,21 @@ def write_run_csv(path, cfg: ScenarioConfig, records: list[RunRecord]) -> None:
 def read_run_csv(path) -> list[RunRecord]:
     """Read rows written by write_run_csv.
 
-    A file that lacks a column of ``RUN_HEADER`` raises ``ValueError``.
+    A missing ``RUN_HEADER`` column, a row cut short or a field that does not
+    parse raises ``ValueError``; a bad row's message names its file and line.
     """
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         for column in RUN_HEADER:
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"{path} is not a run CSV: no {column!r} column")
         for row in reader:
-            records.append(
-                RunRecord(
-                    realization=int(row["realization"]),
-                    metric=float(row["metric"]),
-                    runtime_s=float(row["runtime_s"]),
-                    diverged=bool(int(row["diverged"])),
-                )
-            )
+            try:
+                records.append(RunRecord(int(row["realization"]), float(row["metric"]),
+                                         float(row["runtime_s"]), bool(int(row["diverged"]))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return records
 
 

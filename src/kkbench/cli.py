@@ -1,7 +1,7 @@
 """Command line front end for the benchmark harness.
 
-Exit codes: 0 on success, 2 on a configuration error, 3 when every
-realization diverged.
+Exit codes: 0 on success, 1 when the reader closes stdout early, 2 on a
+configuration error, 3 when every realization diverged.
 """
 
 from __future__ import annotations
@@ -154,18 +154,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compare":
-            return _cmd_compare(args)
-        # fail before any realization runs, not when the CSV is written
-        out_dir = os.path.dirname(args.out) or "."
-        if not os.path.isdir(out_dir):
-            raise ValueError(f"--out directory {out_dir!r} does not exist")
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_sweep(args)
+        if args.command != "compare":
+            # fail before any realization runs, not when the CSV is written
+            out_dir = os.path.dirname(args.out) or "."
+            if not os.path.isdir(out_dir):
+                raise ValueError(f"--out directory {out_dir!r} does not exist")
+            if os.path.isdir(args.out):
+                raise ValueError(f"--out {args.out!r} is a directory")
+        code = {"run": _cmd_run, "sweep": _cmd_sweep, "compare": _cmd_compare}[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"kkbench: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the recipe in Python's signal docs: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

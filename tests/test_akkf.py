@@ -73,24 +73,29 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
 
 class TestAkkfConfig:
     def test_defaults(self):
-        cfg = AkkfConfig(KernelSpec("quadratic"))
+        cfg = AkkfConfig(KernelSpec("quadratic"), obs_sigma=1.0)
         assert cfg.M == 50
         assert cfg.lambda_tilde == 1e-3
         assert cfg.kappa == 1e-3
-        assert cfg.obs_kernel.kind == "gaussian"
-        assert cfg.obs_kernel.sigma is None
+
+    def test_obs_sigma_required_and_positive(self):
+        with pytest.raises(TypeError, match="obs_sigma"):
+            AkkfConfig(KernelSpec("quadratic"))
+        for sigma in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="obs_sigma"):
+                AkkfConfig(KernelSpec("quadratic"), obs_sigma=sigma)
 
     def test_m_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="M"):
-            AkkfConfig(KernelSpec("gaussian"), M=1)
+            AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=1)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError, match="lambda_tilde"):
-            AkkfConfig(KernelSpec("gaussian"), lambda_tilde=0.0)
+            AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, lambda_tilde=0.0)
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError, match="kappa"):
-            AkkfConfig(KernelSpec("gaussian"), kappa=-1.0)
+            AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, kappa=-1.0)
 
 
 class TestGainUpdate:
@@ -174,7 +179,7 @@ class TestGainUpdate:
 
 class TestInit:
     def test_uniform_weights_and_identity_basis(self):
-        cfg = AkkfConfig(KernelSpec("gaussian"), M=6)
+        cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=6)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(0))
         assert state.n == 0
@@ -213,7 +218,7 @@ class TestInit:
         monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
         monkeypatch.setattr(kernels, "pdist", counting_pdist)
         monkeypatch.setattr(kernels, "cdist", counting_cdist)
-        cfg = AkkfConfig(KernelSpec("gaussian"), M=7)
+        cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=7)
         init(identity_model(), cfg, np.random.default_rng(0))
         assert grams == [(7, 7)]
         assert passes == [("pdist", 7), ("cdist", 7)]
@@ -221,7 +226,7 @@ class TestInit:
 
     def test_deterministic_prior_gives_equal_particles(self):
         model = build_model("ungm")
-        cfg = AkkfConfig(KernelSpec("quadratic"), M=4)
+        cfg = AkkfConfig(KernelSpec("quadratic"), obs_sigma=1.0, M=4)
         state = init(model, cfg, np.random.default_rng(0))
         assert_allclose(state.particles.particles, np.full((1, 4), 0.1))
 
@@ -229,7 +234,7 @@ class TestInit:
 class TestPredict:
     def test_matches_dense_oracle(self):
         model = identity_model()
-        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.5), M=5, lambda_tilde=1e-2)
+        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.5), obs_sigma=1.0, M=5, lambda_tilde=1e-2)
         rng = np.random.default_rng(4)
         state = init(model, cfg, rng)
         proposals = state.particles.particles.copy()
@@ -257,7 +262,7 @@ class TestPredict:
         # residual V that init adds goes to zero and the S that predict
         # carries is the uniform I/M.
         model = identity_model()
-        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=6, lambda_tilde=1e-13)
+        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), obs_sigma=1.0, M=6, lambda_tilde=1e-13)
         rng = np.random.default_rng(5)
         state = init(model, cfg, rng)
         assert_allclose(state.S, np.eye(6) / 6.0, atol=1e-8)
@@ -270,7 +275,7 @@ class TestPredict:
                 "process": lambda x, noise, n: x * np.inf,
             }
         )
-        cfg = AkkfConfig(KernelSpec("gaussian"), M=4)
+        cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=4)
         rng = np.random.default_rng(6)
         state = init(blow, cfg, rng)
         with pytest.raises(FilterDivergedError) as err:
@@ -283,7 +288,7 @@ class TestUpdate:
         model = identity_model()
         cfg = AkkfConfig(
             KernelSpec("gaussian", sigma=1.0),
-            obs_kernel=KernelSpec("gaussian", sigma=0.8),
+            obs_sigma=0.8,
             M=5,
             kappa=2e-2,
         )
@@ -310,22 +315,10 @@ class TestUpdate:
         assert_allclose(state.w, w_exp, rtol=1e-9, atol=1e-12)
         assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
 
-    def test_bandwidth_resolved_on_observation_particles(self):
-        # with a median-resolved observation kernel, two runs whose
-        # observation particles differ by a global rescale give the same
-        # Gram matrix, hence identical weight updates up to the kernel input
-        model = identity_model()
-        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=4)
-        rng = np.random.default_rng(8)
-        state = init(model, cfg, rng)
-        predict(state, model, rng)
-        spec = resolve_bandwidth(cfg.obs_kernel, state.particles)
-        assert spec.sigma is not None and spec.sigma > 0
-
 
 class TestEstimate:
     def test_polynomial_kernel_reads_feature_moments(self):
-        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=3)
+        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), obs_sigma=1.0, M=3)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(9))
         state.w = np.array([0.5, 0.3, 0.2])
@@ -335,7 +328,7 @@ class TestEstimate:
         assert_allclose(belief.cov, oracle.cov)
 
     def test_gaussian_kernel_projects_weight_moments(self):
-        cfg = AkkfConfig(KernelSpec("gaussian"), M=3)
+        cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=3)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(10))
         state.w = np.array([0.6, 0.3, 0.1])
@@ -349,7 +342,7 @@ class TestEstimate:
         "kind, poisoned", [("quartic", "w"), ("gaussian", "w"), ("gaussian", "S")]
     )
     def test_nonfinite_moments_diverge(self, kind, poisoned):
-        cfg = AkkfConfig(KernelSpec(kind), M=3)
+        cfg = AkkfConfig(KernelSpec(kind), obs_sigma=1.0, M=3)
         state = init(identity_model(), cfg, np.random.default_rng(10))
         state.n = 4
         if poisoned == "w":
@@ -364,7 +357,7 @@ class TestEstimate:
 class TestPropose:
     def test_matches_dense_oracle(self, monkeypatch):
         model = identity_model()
-        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.2), M=4, lambda_tilde=5e-3)
+        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.2), obs_sigma=1.0, M=4, lambda_tilde=5e-3)
         rng = np.random.default_rng(11)
         state = init(model, cfg, rng)
         state.w = np.array([0.4, 0.3, 0.2, 0.1])
@@ -391,7 +384,7 @@ class TestPropose:
         # when the proposal basis equals the current basis and the ridge is
         # tiny, the change of basis is the identity map
         model = identity_model()
-        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), M=5, lambda_tilde=1e-12)
+        cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), obs_sigma=1.0, M=5, lambda_tilde=1e-12)
         rng = np.random.default_rng(12)
         state = init(model, cfg, rng)
         state.w = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
@@ -417,7 +410,7 @@ class TestStep:
         model = build_model("ungm")
         cfg = AkkfConfig(
             KernelSpec("quadratic", c=1.0),
-            obs_kernel=KernelSpec("gaussian", sigma=6.0),
+            obs_sigma=6.0,
             M=10,
             lambda_tilde=1e-2,
             kappa=1e-2,
@@ -432,7 +425,7 @@ class TestStep:
         model = build_model("ungm")
         cfg = AkkfConfig(
             KernelSpec("quadratic", c=1.0),
-            obs_kernel=KernelSpec("gaussian", sigma=6.0),
+            obs_sigma=6.0,
             M=8,
             lambda_tilde=1e-2,
             kappa=1e-2,
@@ -459,7 +452,7 @@ class TestStep:
         model = build_model("ungm")
         cfg = AkkfConfig(
             KernelSpec("quadratic", c=1.0),
-            obs_kernel=KernelSpec("gaussian", sigma=6.0),
+            obs_sigma=6.0,
             M=10,
             lambda_tilde=1e-2,
             kappa=1e-2,
@@ -480,7 +473,7 @@ class TestStep:
         model = build_model("bot-cv")
         cfg = AkkfConfig(
             KernelSpec("quartic", c=0.5),
-            obs_kernel=KernelSpec("gaussian", sigma=1.0),
+            obs_sigma=1.0,
             M=8,
             lambda_tilde=1e-3,
             kappa=1e-3,
@@ -498,9 +491,7 @@ class TestStep:
 
     def test_tracks_identity_model(self):
         model = identity_model()
-        cfg = AkkfConfig(
-            KernelSpec("gaussian"), obs_kernel=KernelSpec("gaussian"), M=50
-        )
+        cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=50)
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             traj = simulate(model, 10, rng)
@@ -514,7 +505,7 @@ class TestStep:
         model = build_model("ungm")
         cfg = AkkfConfig(
             KernelSpec("quadratic", c=1.0),
-            obs_kernel=KernelSpec("gaussian", sigma=2.0),
+            obs_sigma=2.0,
             M=5,
             lambda_tilde=1e-2,
             kappa=1e-2,
@@ -556,7 +547,7 @@ class TestStep:
 
     def test_step_returns_post_update_belief(self):
         model = build_model("ungm")
-        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=6)
+        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), obs_sigma=1.0, M=6)
         y = np.array([0.5])
         rng = np.random.default_rng(15)
         state = init(model, cfg, rng)
@@ -573,7 +564,7 @@ class TestStep:
         model = build_model("bot-cv")
         cfg = AkkfConfig(
             KernelSpec("quartic", c=0.5),
-            obs_kernel=KernelSpec("gaussian", sigma=1.0),
+            obs_sigma=1.0,
             M=6,
         )
         rng = np.random.default_rng(16)
@@ -594,7 +585,7 @@ class TestMultistepOracle:
         # through the PSD-repaired readout and its eigen root, and since each
         # step's samples are the next step's particles, they compound past
         # the replay's tolerances within three steps.
-        spec_x, spec_y = cfg.state_kernel, cfg.obs_kernel
+        spec_x, spec_y = cfg.state_kernel, KernelSpec("gaussian", sigma=cfg.obs_sigma)
         rng_run = np.random.default_rng(21)
         state = init(model, cfg, np.random.default_rng(77))
         after_stage(state)
@@ -656,8 +647,7 @@ class TestMultistepOracle:
 
     def test_three_steps_match_dense_replay(self):
         spec_x = KernelSpec("quadratic", c=1.0)
-        spec_y = KernelSpec("gaussian", sigma=2.0)
-        cfg = AkkfConfig(spec_x, obs_kernel=spec_y, M=6, lambda_tilde=1e-2, kappa=1e-2)
+        cfg = AkkfConfig(spec_x, obs_sigma=2.0, M=6, lambda_tilde=1e-2, kappa=1e-2)
         self.replay(build_model("ungm"), cfg, np.array([[1.0, 4.0, 0.2]]))
 
     def test_factored_weight_covariance_matches_dense_replay(self):
@@ -667,7 +657,7 @@ class TestMultistepOracle:
         model = build_model("bot-cv")
         cfg = AkkfConfig(
             KernelSpec("quartic", c=0.5),
-            obs_kernel=KernelSpec("gaussian", sigma=1.0),
+            obs_sigma=1.0,
             M=200,
         )
         ys = simulate(model, 3, np.random.default_rng(5)).observations
@@ -710,7 +700,7 @@ class TestLowRankRebasis:
         # bot-cv's quartic kernel has C(4+4, 4) = 70 features, so the
         # M=200 benchmark cell solves in feature space
         rng = np.random.default_rng(31)
-        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         particles = prior_draws("bot-cv", 200, rng, spread)
         proposals = prior_draws("bot-cv", 200, rng, spread)
         B = rng.standard_normal((200, 200))
@@ -753,7 +743,7 @@ class TestLowRankRebasis:
         monkeypatch.setattr(akkf, "gram", counting_gram)
         assert akkf.ridge_solve is kernels.ridge_solve
         rng = np.random.default_rng(32)
-        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         _rebasis(cfg, prior_draws("bot-cv", 200, rng), prior_draws("bot-cv", 200, rng))
         assert factored == [(70, 70)]
         assert grams == []
@@ -774,7 +764,7 @@ class TestLowRankRebasis:
         monkeypatch.setattr(akkf, "gram", counting_gram)
         monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
         rng = np.random.default_rng(33)
-        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), M=200)
+        cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         basis = _rebasis(cfg, prior_draws("bot-ct", 200, rng), prior_draws("bot-ct", 200, rng))
         assert basis.features is None
         assert grams == [(200, 200), (200, 200)]
@@ -784,7 +774,7 @@ class TestLowRankRebasis:
     def test_rank_rule_boundary(self, m, factored):
         # ungm's quadratic kernel has r = 3 features: M=5 (the golden cell)
         # keeps the dense solve, M=6 is the first to satisfy 2r <= M
-        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), M=m, lambda_tilde=1e-2)
+        cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), obs_sigma=1.0, M=m, lambda_tilde=1e-2)
         rng = np.random.default_rng(34)
         E = Ensemble(rng.standard_normal((1, m)) * 10.0)
         basis = _rebasis(cfg, E, E)

@@ -2,6 +2,9 @@
 
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -425,12 +428,16 @@ class TestCli:
         monkeypatch.setattr(bench_mod, "run_mc", lambda *args, **kwargs: calls.append(args))
         cell = {"run": ["--filter", "pf", "--particles", "10"],
                 "sweep": ["--filters", "pf", "--particles", "10"]}[command]
-        rc = main([command, "--scenario", "ungm", *cell, "--realizations", "1", "--seed", "0",
-                   "--out", str(tmp_path / "missing" / "x.csv")])
+        argv = [command, "--scenario", "ungm", *cell, "--realizations", "1", "--seed", "0", "--out"]
+        rc = main([*argv, str(tmp_path / "missing" / "x.csv")])
         assert rc == 2
         assert calls == []
         assert capsys.readouterr().err.startswith("kkbench: ")
         assert not (tmp_path / "missing").exists()
+        # an --out that names an existing directory fails as early
+        assert main([*argv, str(tmp_path)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"kkbench: --out {str(tmp_path)!r} is a directory\n"
 
 
 def write_records(path, metrics, diverged=None, runtime_s=0.1):
@@ -491,6 +498,41 @@ class TestCompare:
         assert err.startswith("kkbench: ")
         assert str(summary) in err
         assert "'realization'" in err
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("ungm,pf,10,1,2.5", "''"), ("ungm,pf,10,1,abc,0.1,0", "'abc'")],
+        ids=["cut-short", "non-numeric"],
+    )
+    def test_bad_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, problem):
+        # the header is line 1 and realization 0 line 2, so the bad row is line 3
+        a = write_records(tmp_path / "a.csv", [1.0, 2.0])
+        b = write_records(tmp_path / "b.csv", [1.0])
+        with open(b, "a") as fh:
+            fh.write(row + "\n")
+        assert main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"kkbench: {b} line 3: ")
+        assert problem in captured.err
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        # the read end of the pipe is closed before the child starts, so its
+        # first write to stdout fails
+        a = write_records(tmp_path / "a.csv", [1.0, 2.0])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys; from kkbench.cli import main; sys.exit(main(sys.argv[1:]))"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-c", code, "compare", str(a), str(a)],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.stderr == b""
 
 
 def load_tracing():

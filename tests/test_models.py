@@ -335,7 +335,7 @@ class TestBatchedCallbacks:
         if filter_init == "pf":
             pf_init(model, 30, rng)
         else:
-            init(model, AkkfConfig(KernelSpec("quadratic"), M=30), rng)
+            init(model, AkkfConfig(KernelSpec("quadratic"), obs_sigma=1.0, M=30), rng)
         assert calls == [30]
 
 
