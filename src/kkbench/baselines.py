@@ -78,7 +78,7 @@ def pf_step(
     weights = _normalize_log_weights(log_lik + np.log(1.0 / m))
     estimate = columns @ weights
     indices = systematic_resample(weights, rng)
-    resampled = PfState(Ensemble(columns[:, indices]), n)
+    resampled = PfState(Ensemble(np.take(columns, indices, axis=1)), n)
     return resampled, estimate
 
 

@@ -29,6 +29,13 @@ def _nonempty(items: list) -> list:
     return items
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return _nonempty([int(part) for part in text.split(",") if part])
 
@@ -47,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     cell.add_argument("--kappa", type=float, default=1e-3)
     cell.add_argument("--horizon", type=int, default=None)
-    cell.add_argument("--workers", type=int, default=1)
+    cell.add_argument("--workers", type=_positive_int, default=1)
     cell.add_argument("--out", required=True)
 
     parser = argparse.ArgumentParser(prog="kkbench", description=__doc__)

@@ -85,8 +85,15 @@ class Trajectory:
 
 
 def wrap_angle(delta):
-    """Wrap an angle difference into (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(delta), 2.0 * math.pi)
+    """Wrap an angle difference into (-pi, pi].
+
+    Bit for bit pi - mod(pi - delta, 2 pi); ``np.mod`` leaves entries of
+    [0, 2 pi) unchanged, so only the others (nan included) go through it.
+    """
+    t = np.asarray(math.pi - np.asarray(delta))
+    outside = ~((t >= 0.0) & (t < 2.0 * math.pi))
+    t[outside] = np.mod(t[outside], 2.0 * math.pi)
+    return math.pi - t
 
 
 def bearing(xi, eta):

@@ -6,6 +6,7 @@ unscented filter must match it to solver precision.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -21,9 +22,16 @@ from kkbench import (
     systematic_resample,
     ukf_step,
 )
-from kkbench.baselines import _sigma_points, _sigma_weights
+from kkbench.baselines import _normalize_log_weights, _sigma_points, _sigma_weights
 from kkbench.kernels import psd_repair
-from kkbench.models import StateSpaceModel, wrap_angle
+from kkbench.models import (
+    BOT_MEASUREMENT_STD,
+    StateSpaceModel,
+    _measurement_law,
+    bearing,
+    bot_cv,
+    wrap_angle,
+)
 
 
 def clipped_covs(rng, count=200):
@@ -184,6 +192,26 @@ class TestPf:
         state, _ = pf_step(state, np.array([1.0]), model, rng)
         assert state.particles.count == 12
         assert state.n == 1
+
+    def test_bearing_step_replays_the_mod_wrap_and_fancy_gather(self):
+        # y near -pi, so most bearing residuals lie outside (-pi, pi] and wrap
+        model, y, m = bot_cv(), np.array([-3.0]), 64
+        state = pf_init(model, m, np.random.default_rng(9))
+        got, got_estimate = pf_step(state, y, model, np.random.default_rng(10))
+
+        def mod_wrap(delta):
+            return math.pi - np.mod(math.pi - delta, 2 * math.pi)
+
+        law = _measurement_law(lambda X: bearing(X[0], X[2]), BOT_MEASUREMENT_STD, mod_wrap)
+        rng = np.random.default_rng(10)
+        columns = model.process(state.particles.particles, model.sample_process_noise(rng, m), 1)
+        assert np.sum(np.abs(y[0] - bearing(columns[0], columns[2])) > math.pi) > m // 2
+        weights = _normalize_log_weights(
+            law["measurement_log_likelihood"](y, columns) + np.log(1.0 / m)
+        )
+        indices = systematic_resample(weights, rng)
+        assert np.array_equal(got_estimate, columns @ weights)
+        assert np.array_equal(got.particles.particles, columns[:, indices])
 
 
 class TestGpf:

@@ -381,6 +381,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {option}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2_before_running(self, tmp_path, capsys, monkeypatch,
+                                                      workers):
+        import kkbench.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_mc", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "ungm", "--filter", "pf", "--particles", "10",
+                  "--realizations", "1", "--seed", "0", "--workers", workers,
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert calls == []
+        assert "argument --workers" in capsys.readouterr().err
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         rc = main(
             [

@@ -111,6 +111,29 @@ class TestWrapAngle:
         deltas = np.array([0.0, 2.0 * math.pi, -2.0 * math.pi])
         assert_allclose(wrap_angle(deltas), [0.0, 0.0, 0.0], atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e300, max_value=1e300)
+            | st.sampled_from(
+                [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+                 math.inf, -math.inf, math.nan]
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_the_mod_form_bit_for_bit(self, values):
+        def mod_form(x):
+            return math.pi - np.mod(math.pi - np.asarray(x), 2 * math.pi)
+
+        with np.errstate(invalid="ignore"):
+            for x in (values[0], np.array(values)):
+                got, want = wrap_angle(x), mod_form(x)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestBotCv:
     def test_process_velocity_shift(self):
