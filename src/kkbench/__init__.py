@@ -5,7 +5,6 @@ from .akkf import (
     AkkfState,
     FilterDivergedError,
     estimate,
-    filter_sequence,
     gain_update,
     init,
     predict,
@@ -15,7 +14,9 @@ from .akkf import (
 )
 from .baselines import (
     DegenerateWeightsError,
+    GaussianState,
     PfState,
+    gaussian_init,
     gpf_step,
     pf_init,
     pf_step,

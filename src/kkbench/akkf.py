@@ -289,7 +289,6 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
         particles=particles,
         w=np.full(cfg.M, 1.0 / cfg.M),
         S=_rebasis(cfg, particles, particles).spread(1.0 / cfg.M),
-        n=0,
     )
 
 
@@ -375,18 +374,3 @@ def step(
     propose(state, belief, rng)
     return state, belief
 
-
-def filter_sequence(
-    model: StateSpaceModel,
-    cfg: AkkfConfig,
-    observations: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run the filter over a d_y x N observation matrix, returning means."""
-    state = init(model, cfg, rng)
-    horizon = observations.shape[1]
-    means = np.empty((model.state_dim, horizon))
-    for n in range(horizon):
-        state, belief = step(state, observations[:, n], model, rng)
-        means[:, n] = belief.mean
-    return means

@@ -29,6 +29,21 @@ class PfState:
     n: int = 0
 
 
+@dataclass(frozen=True)
+class ParticleBelief:
+    """The PF's belief at one step: the weighted mean of its particles before resampling."""
+
+    mean: np.ndarray
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """GPF and UKF state: the Gaussian belief after step ``n``."""
+
+    belief: GaussianBelief
+    n: int = 0
+
+
 # Unscented transform scaling: spread alpha, prior-knowledge beta (2 is
 # optimal for Gaussians), secondary scaling kappa.
 UKF_ALPHA = 1e-3
@@ -39,6 +54,11 @@ UKF_KAPPA = 0.0
 def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> PfState:
     """Draw M prior particles."""
     return PfState(Ensemble(model.sample_prior(rng, M)))
+
+
+def gaussian_init(model: StateSpaceModel) -> GaussianState:
+    """The GPF's and the UKF's state before step 1: the prior."""
+    return GaussianState(GaussianBelief(model.prior_mean, model.prior_cov))
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -61,10 +81,10 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
 
 def pf_step(
     state: PfState, y_n, model: StateSpaceModel, rng: np.random.Generator
-) -> tuple[PfState, np.ndarray]:
-    """Bootstrap step: propagate, likelihood-weight, estimate, resample.
+) -> tuple[PfState, ParticleBelief]:
+    """Bootstrap step: propagate, likelihood-weight, resample.
 
-    The estimate is the weighted mean before resampling; resampling runs
+    The belief is the weighted mean before resampling; resampling runs
     every step and resets the weights to uniform.
     """
     m = state.particles.count
@@ -76,28 +96,22 @@ def pf_step(
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     # log(1/m), the uniform weight, cancels in the normalization but sets its rounding
     weights = _normalize_log_weights(log_lik + np.log(1.0 / m))
-    estimate = columns @ weights
     indices = systematic_resample(weights, rng)
     resampled = PfState(Ensemble(np.take(columns, indices, axis=1)), n)
-    return resampled, estimate
+    return resampled, ParticleBelief(columns @ weights)
 
 
 def gpf_step(
-    belief: GaussianBelief,
-    y_n,
-    model: StateSpaceModel,
-    M: int,
-    rng: np.random.Generator,
-    n: int,
-) -> GaussianBelief:
+    state: GaussianState, y_n, model: StateSpaceModel, rng: np.random.Generator, M: int
+) -> tuple[GaussianState, GaussianBelief]:
     """Gaussian particle filter step.
 
     Draws M particles from the belief, propagates them with process noise,
     weights by the observation likelihood, and moment-matches a new
-    Gaussian; no resampling is involved.  ``n`` is the 1-based index of the
-    step being produced.
+    Gaussian; no resampling is involved.
     """
-    draws = belief.sample(rng, M)
+    n = state.n + 1
+    draws = state.belief.sample(rng, M)
     columns = model.process(draws, model.sample_process_noise(rng, M), n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
@@ -105,7 +119,8 @@ def gpf_step(
     weights = _normalize_log_weights(log_lik)
     mean = columns @ weights
     raw = (columns * weights) @ columns.T
-    return GaussianBelief(mean, psd_repair(raw - np.outer(mean, mean)))
+    belief = GaussianBelief(mean, psd_repair(raw - np.outer(mean, mean)))
+    return GaussianState(belief, n), belief
 
 
 def _sigma_points(belief: GaussianBelief, alpha: float, kappa: float):
@@ -128,14 +143,16 @@ def _sigma_weights(d: int, lam: float, alpha: float, beta: float):
     return w_mean, w_cov
 
 
-def ukf_step(belief: GaussianBelief, y_n, model: StateSpaceModel, n: int) -> GaussianBelief:
-    """Additive-noise unscented update with 2d+1 sigma points.
+def ukf_step(
+    state: GaussianState, y_n, model: StateSpaceModel, rng: np.random.Generator
+) -> tuple[GaussianState, GaussianBelief]:
+    """Additive-noise unscented update with 2d+1 sigma points; ``rng`` goes unused.
 
-    ``n`` is the 1-based index of the step being produced.  Observation
-    residuals pass through the model's wrap function when one is defined,
-    so bearing innovations stay in (-pi, pi].  A posterior covariance that
-    comes out indefinite is PSD-repaired, with a warning.
+    Observation residuals pass through the model's wrap function when one is
+    defined, so bearing innovations stay in (-pi, pi].  A posterior
+    covariance that comes out indefinite is PSD-repaired, with a warning.
     """
+    n, belief = state.n + 1, state.belief
     d = model.state_dim
     wrap = model.wrap_residual or (lambda r: r)
     zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
@@ -163,4 +180,5 @@ def ukf_step(belief: GaussianBelief, y_n, model: StateSpaceModel, n: int) -> Gau
     cov_repaired = psd_repair(cov_new)
     if not np.array_equal(cov_repaired, (cov_new + cov_new.T) / 2.0):
         warnings.warn("unscented update produced a non-PSD covariance; repairing")
-    return GaussianBelief(mean_new, cov_repaired)
+    posterior = GaussianBelief(mean_new, cov_repaired)
+    return GaussianState(posterior, n), posterior

@@ -17,15 +17,17 @@ from functools import partial
 
 import numpy as np
 
-from .akkf import AkkfConfig, FilterDivergedError, filter_sequence
+from . import akkf
+from .akkf import AkkfConfig, FilterDivergedError
 from .baselines import (
     DegenerateWeightsError,
+    gaussian_init,
     gpf_step,
     pf_init,
     pf_step,
     ukf_step,
 )
-from .kernels import GaussianBelief, KernelSpec, SingularMatrixError
+from .kernels import KernelSpec, SingularMatrixError
 from .models import MODEL_BUILDERS, SimulationDivergedError, build_model, simulate
 
 SCENARIOS = tuple(MODEL_BUILDERS)
@@ -130,8 +132,8 @@ _STATE_C = {"ungm": 1.0, "bot-cv": 0.5, "bot-ct": 0.5}
 _OBS_SIGMA = {"ungm": 7.0, "bot-cv": 1.0, "bot-ct": 1.0}
 
 
-def _akkf_config(filter_name: str, cfg: ScenarioConfig) -> AkkfConfig:
-    kind = filter_name.split("-", 1)[1]
+def _akkf_config(cfg: ScenarioConfig) -> AkkfConfig:
+    kind = cfg.filter.split("-", 1)[1]
     return AkkfConfig(
         state_kernel=KernelSpec(kind, c=_STATE_C[cfg.scenario]),
         obs_sigma=_OBS_SIGMA[cfg.scenario],
@@ -142,31 +144,26 @@ def _akkf_config(filter_name: str, cfg: ScenarioConfig) -> AkkfConfig:
 
 
 def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.ndarray:
-    """Run the configured filter over an observation matrix.
+    """Run the configured filter over an observation matrix; returns the d_x x N belief means.
 
-    Returns d_x x N per-step state estimates (belief means for the
-    Gaussian-belief filters, weighted means for the particle filter).
+    Each filter's step is looked up by name here, so a wrapper set on the name takes effect.
     """
-    horizon = observations.shape[1]
-    name = cfg.filter
-    if name.startswith("akkf"):
-        return filter_sequence(model, _akkf_config(name, cfg), observations, rng)
-    estimates = np.empty((model.state_dim, horizon))
-    if name == "pf":
-        state = pf_init(model, cfg.M, rng)
-        for n in range(horizon):
-            state, estimates[:, n] = pf_step(state, observations[:, n], model, rng)
-    elif name == "gpf":
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
-        for n in range(horizon):
-            belief = gpf_step(belief, observations[:, n], model, cfg.M, rng, n + 1)
-            estimates[:, n] = belief.mean
-    else:  # ukf; ScenarioConfig admits no other name
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
-        for n in range(horizon):
-            belief = ukf_step(belief, observations[:, n], model, n + 1)
-            estimates[:, n] = belief.mean
+    if cfg.filter.startswith("akkf"):
+        state, step = akkf.init(model, _akkf_config(cfg), rng), akkf.step
+    elif cfg.filter == "pf":
+        state, step = pf_init(model, cfg.M, rng), pf_step
+    else:  # gpf or ukf; ScenarioConfig admits no other name
+        state = gaussian_init(model)
+        step = partial(gpf_step, M=cfg.M) if cfg.filter == "gpf" else ukf_step
+    estimates = np.empty((model.state_dim, observations.shape[1]))
+    for n in range(observations.shape[1]):
+        state, belief = step(state, observations[:, n], model, rng)
+        estimates[:, n] = belief.mean
     return estimates
+
+
+# Not called: perfbench's tracer wraps this name, so it stays defined.
+filter_sequence = run_filter
 
 
 def scenario_metric(scenario: str, truth_states: np.ndarray, estimates: np.ndarray) -> float:

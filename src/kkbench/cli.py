@@ -110,9 +110,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_summary_csv(args.out, rows)
     for cfg, summary in rows:
         print(
-            f"{cfg.scenario} {cfg.filter} M={cfg.M}: "
-            f"metric mean {summary.metric_mean:.6g} se {summary.metric_se:.3g} "
-            f"diverged {summary.diverged_count}/{cfg.realizations}"
+            f"{cfg.scenario} {cfg.filter} M={cfg.M}: metric mean {summary.metric_mean:.6g} "
+            f"se {summary.metric_se:.3g} diverged {summary.diverged_count}/{cfg.realizations} "
+            f"runtime {summary.runtime_mean_s:.4g} s"
         )
     total = sum(summary.diverged_count for _, summary in rows)
     if total == len(rows) * args.realizations:

@@ -16,6 +16,8 @@ from numpy.testing import assert_allclose
 from kkbench import (
     DegenerateWeightsError,
     GaussianBelief,
+    GaussianState,
+    gaussian_init,
     gpf_step,
     pf_init,
     pf_step,
@@ -152,8 +154,8 @@ class TestPf:
         state = pf_init(model, 20000, rng)
         means = []
         for y in YS:
-            state, estimate = pf_step(state, np.array([y]), model, rng)
-            means.append(estimate[0])
+            state, belief = pf_step(state, np.array([y]), model, rng)
+            means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, atol=0.05)
 
     def test_constant_likelihood_gives_unweighted_mean(self):
@@ -167,15 +169,15 @@ class TestPf:
         rng = np.random.default_rng(5)
         state = pf_init(zero_noise, 10, rng)
         before = state.particles.particles.copy()
-        _, estimate = pf_step(state, np.array([0.0]), zero_noise, rng)
-        assert_allclose(estimate, before.mean(axis=1), rtol=1e-12)
+        _, belief = pf_step(state, np.array([0.0]), zero_noise, rng)
+        assert_allclose(belief.mean, before.mean(axis=1), rtol=1e-12)
 
     def test_single_particle(self):
         model = linear_model()
         rng = np.random.default_rng(6)
         state = pf_init(model, 1, rng)
-        state, estimate = pf_step(state, np.array([1.0]), model, rng)
-        assert estimate.shape == (1,)
+        state, belief = pf_step(state, np.array([1.0]), model, rng)
+        assert belief.mean.shape == (1,)
         assert state.particles.count == 1
 
     def test_vanished_likelihoods_raise(self):
@@ -197,7 +199,7 @@ class TestPf:
         # y near -pi, so most bearing residuals lie outside (-pi, pi] and wrap
         model, y, m = bot_cv(), np.array([-3.0]), 64
         state = pf_init(model, m, np.random.default_rng(9))
-        got, got_estimate = pf_step(state, y, model, np.random.default_rng(10))
+        got, got_belief = pf_step(state, y, model, np.random.default_rng(10))
 
         def mod_wrap(delta):
             return math.pi - np.mod(math.pi - delta, 2 * math.pi)
@@ -210,7 +212,7 @@ class TestPf:
             law["measurement_log_likelihood"](y, columns) + np.log(1.0 / m)
         )
         indices = systematic_resample(weights, rng)
-        assert np.array_equal(got_estimate, columns @ weights)
+        assert np.array_equal(got_belief.mean, columns @ weights)
         assert np.array_equal(got.particles.particles, columns[:, indices])
 
 
@@ -218,10 +220,10 @@ class TestGpf:
     def test_tracks_kalman_oracle(self):
         model = linear_model()
         rng = np.random.default_rng(9)
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        state = gaussian_init(model)
         means = []
-        for n, y in enumerate(YS, start=1):
-            belief = gpf_step(belief, np.array([y]), model, 20000, rng, n)
+        for y in YS:
+            state, belief = gpf_step(state, np.array([y]), model, rng, 20000)
             means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, atol=0.05)
 
@@ -233,8 +235,8 @@ class TestGpf:
                 "sample_process_noise": lambda rng, count: np.zeros((1, count)),
             }
         )
-        belief = GaussianBelief(np.array([0.7]), np.zeros((1, 1)))
-        out = gpf_step(belief, np.array([0.0]), frozen, 50, np.random.default_rng(10), 1)
+        state = GaussianState(GaussianBelief(np.array([0.7]), np.zeros((1, 1))))
+        _, out = gpf_step(state, np.array([0.0]), frozen, np.random.default_rng(10), 50)
         assert_allclose(out.mean, [0.7], rtol=1e-12)
         assert_allclose(out.cov, [[0.0]], atol=1e-15)
 
@@ -243,7 +245,7 @@ class TestGpf:
         rng_run = np.random.default_rng(11)
         rng_oracle = np.random.default_rng(11)
         belief = GaussianBelief(np.array([0.0]), np.eye(1))
-        out = gpf_step(belief, np.array([0.0]), model, 200, rng_run, 1)
+        _, out = gpf_step(GaussianState(belief), np.array([0.0]), model, rng_run, 200)
         draws = belief.sample(rng_oracle, 200)
         noise = model.sample_process_noise(rng_oracle, 200)
         columns = 0.9 * draws + noise
@@ -252,9 +254,9 @@ class TestGpf:
 
     def test_vanished_likelihoods_raise(self):
         model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], -np.inf))
-        belief = GaussianBelief(np.array([0.0]), np.eye(1))
+        state = GaussianState(GaussianBelief(np.array([0.0]), np.eye(1)))
         with pytest.raises(DegenerateWeightsError):
-            gpf_step(belief, np.array([0.0]), model, 20, np.random.default_rng(12), 1)
+            gpf_step(state, np.array([0.0]), model, np.random.default_rng(12), 20)
 
 
 class TestUkf:
@@ -300,43 +302,49 @@ class TestUkf:
         # the unscented transform is exact for linear dynamics, so five
         # steps must reproduce the closed-form recursion to solver precision
         model = linear_model()
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        state = gaussian_init(model)
         means = []
-        for n, y in enumerate(YS, start=1):
-            belief = ukf_step(belief, np.array([y]), model, n)
+        for y in YS:
+            state, belief = ukf_step(state, np.array([y]), model, None)
             means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, rtol=1e-8)
 
     def test_posterior_covariance_matches_kalman(self):
         model = linear_model()
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
-        belief = ukf_step(belief, np.array([1.2]), model, 1)
+        _, belief = ukf_step(gaussian_init(model), np.array([1.2]), model, None)
         p_pred = 0.81 * 1.0 + 0.25
         p_post = p_pred * (1.0 - p_pred / (p_pred + 0.25))
         assert belief.cov[0, 0] == pytest.approx(p_post, rel=1e-8)
+
+    def test_step_reads_no_random_numbers(self):
+        # the rng is in the signature only so that every filter steps alike
+        model, rng = linear_model(), np.random.default_rng(3)
+        before = rng.bit_generator.state
+        state, _ = ukf_step(gaussian_init(model), np.array([1.2]), model, rng)
+        assert state.n == 1
+        assert rng.bit_generator.state == before
 
     def test_wrapped_innovation_pulls_the_short_way(self):
         # an observation one full turn up minus a small angle must correct
         # the mean downward once residual wrapping is active
         model = linear_model(a=1.0, wrap_residual=wrap_angle)
-        belief = GaussianBelief(np.zeros(1), 0.01 * np.eye(1))
+        state = GaussianState(GaussianBelief(np.zeros(1), 0.01 * np.eye(1)))
         y = np.array([2.0 * np.pi - 0.1])
-        out = ukf_step(belief, y, model, 1)
+        _, out = ukf_step(state, y, model, None)
         assert out.mean[0] < 0.0
 
     def test_warns_exactly_when_repair_clips(self):
         # a measurement noise variance R in (-P, 0) over-contracts the
         # update: P - P^2 / (P + R) < 0, which the repair clips to zero
         model = dataclasses.replace(linear_model(), measurement_noise_cov=np.array([[-0.2]]))
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
         with pytest.warns(UserWarning, match="non-PSD covariance"):
-            out = ukf_step(belief, np.array([1.2]), model, 1)
+            _, out = ukf_step(gaussian_init(model), np.array([1.2]), model, None)
         assert out.cov[0, 0] == 0.0
         # the linear-Gaussian update stays PSD and passes unrepaired
         model = linear_model()
-        belief = GaussianBelief(model.prior_mean, model.prior_cov)
+        state = gaussian_init(model)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n, y in enumerate(YS, start=1):
-                belief = ukf_step(belief, np.array([y]), model, n)
+            for y in YS:
+                state, _ = ukf_step(state, np.array([y]), model, None)
 

@@ -25,12 +25,13 @@ from kkbench import (
     run_mc,
     run_one,
     scenario_metric,
+    simulate,
     summarize,
     sweep,
     write_run_csv,
     write_summary_csv,
 )
-from kkbench.bench import realization_rng
+from kkbench.bench import realization_rng, run_filter
 from kkbench.cli import main
 
 
@@ -179,6 +180,39 @@ class TestRunOne:
             ]
         )
         assert rc == 3
+
+
+class TestFilterContract:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("filt", FILTERS)
+    def test_step_advances_n_and_returns_a_finite_mean(self, monkeypatch, filt, scenario):
+        # every step run_filter calls: (state, y_n, model, rng) -> (state, belief)
+        import kkbench.akkf as akkf_mod
+        import kkbench.bench as bench_mod
+
+        steps = []
+
+        def checked(step):
+            def wrapper(state, y_n, model, rng, **bound):
+                before = state.n
+                state, belief = step(state, y_n, model, rng, **bound)
+                steps.append((state.n - before, belief.mean))
+                return state, belief
+
+            return wrapper
+
+        for owner, name in [(akkf_mod, "step"), (bench_mod, "pf_step"), (bench_mod, "gpf_step"),
+                            (bench_mod, "ukf_step")]:
+            monkeypatch.setattr(owner, name, checked(getattr(owner, name)))
+        model = build_model(scenario, 3)
+        rng = realization_rng(0, 0)
+        observations = simulate(model, model.default_horizon, rng).observations
+        estimates = run_filter(ScenarioConfig(scenario, filt, 10, 1, 0), model, observations, rng)
+        assert [advance for advance, _ in steps] == [1, 1, 1]
+        for n, (_, mean) in enumerate(steps):
+            assert mean.shape == (model.state_dim,)
+            assert np.isfinite(mean).all()
+            assert np.array_equal(estimates[:, n], mean)
 
 
 class TestSummarize:
@@ -362,6 +396,7 @@ class TestCli:
         for row, line in zip(rows, printed):
             assert f"{row['filter']} M={row['particles']}:" in line
             assert f"se {float(row['metric_se']):.3g} " in line
+            assert line.endswith(f" runtime {float(row['runtime_mean_s']):.4g} s")
 
     @pytest.mark.parametrize("option", ["--filters", "--particles"])
     def test_sweep_empty_list_exits_2(self, tmp_path, capsys, option):
@@ -581,6 +616,28 @@ class TestTraceHooks:
         assert originals
         for owner, name, original in originals:
             assert getattr(owner, name) is original, f"{owner.__name__}.{name} not restored"
+
+    def test_run_filter_steps_through_the_traced_names(self):
+        # the tracer wraps the step names on bench and the stages on akkf;
+        # run_filter must look them up at each call for the spans to fire
+        import kkbench
+
+        tracing = load_tracing()
+        spans, layers = {}, {}
+        for filt in ("pf", "gpf", "ukf", "akkf-quartic"):
+            tracer, patches = tracing.Tracer(), tracing.Patches()
+            try:
+                tracer.install(kkbench, patches)
+                kkbench.bench.run_one(ScenarioConfig("bot-cv", filt, 10, 1, 0, horizon=3), 0)
+            finally:
+                patches.restore()
+            spans[filt] = {span[3] for span in tracer.spans}
+            layers[filt] = set(tracer.layer_calls())
+        assert "baselines.pf_step" in spans["pf"]
+        assert "baselines.gpf_step" in spans["gpf"]
+        assert "baselines.ukf_step" in spans["ukf"]
+        assert "akkf.predict" in spans["akkf-quartic"]
+        assert layers["pf"].isdisjoint({"akkf", "kernels"}), layers["pf"]
 
     def test_ct_noise_root_counters(self):
         # the tracer counts bot-ct noise roots on models._ct_noise_root and

@@ -52,7 +52,7 @@ def test_python_block_imports_resolve():
 
 
 def test_single_filter_block_runs():
-    [block] = [block for block in python_blocks() if "filter_sequence(" in block]
+    [block] = [block for block in python_blocks() if "state, belief = " in block]
     namespace = {}
     exec(compile(block, "README single-filter block", "exec"), namespace)
     estimates, model = namespace["estimates"], namespace["model"]
