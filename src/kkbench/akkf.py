@@ -25,6 +25,7 @@ from .kernels import (
     extract_moments_poly,
     feature_dim,
     feature_map,
+    gaussian_column,
     gram,
     low_rank_factor,
     project_moments,
@@ -80,12 +81,13 @@ class AkkfConfig:
 
 @dataclass(frozen=True)
 class FactoredCov:
-    """Weight covariance S = P^T Sigma P + c I - sum_i U_i Z_i, held in factors.
+    """Weight covariance S = P^T Sigma P + c I - sum_i U_i W_i^-1 U_i^T, held in factors.
 
     ``features`` P (r x M) is the whitened feature map of the basis S was
     carried onto (see :func:`_rebasis`) and ``core`` Sigma (r x r) is
-    symmetric; each pair (U, Z) of ``downdates`` is a gain update's
-    Woodbury term, U = S F_y (M x r_y) and Z = W^-1 U^T.  The filter needs
+    symmetric; each pair (U, W^-1) of ``downdates`` is a gain update's
+    Woodbury term, U = S F_y (M x r_y) and W^-1 the inverse of the r_y x r_y
+    matrix W = kappa I + F_y^T U.  The filter needs
     two operations, ``S @ X`` and :meth:`sandwich`; both cost O(M r^2) and
     form no M x M array.  ``np.asarray(S)`` gives the dense, symmetrized
     M x M view.
@@ -99,27 +101,28 @@ class FactoredCov:
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         P = self.features
         out = P.T @ (self.core @ (P @ X)) + self.scale * X
-        for U, Z in self.downdates:
-            out -= U @ (Z @ X)
+        for U, W_inv in self.downdates:
+            out -= U @ (W_inv @ (U.T @ X))
         return out
 
     def sandwich(self, B: np.ndarray) -> np.ndarray:
         """B S B^T, through the factors."""
         BP = B @ self.features.T
         out = BP @ self.core @ BP.T + self.scale * (B @ B.T)
-        for U, Z in self.downdates:
-            out -= (B @ U) @ (Z @ B.T)
+        for U, W_inv in self.downdates:
+            BU = B @ U
+            out -= BU @ W_inv @ BU.T
         return out
 
-    def downdate(self, U: np.ndarray, Z: np.ndarray) -> FactoredCov:
-        """S - U Z, appended to the factors."""
-        return replace(self, downdates=self.downdates + ((U, Z),))
+    def downdate(self, U: np.ndarray, W_inv: np.ndarray) -> FactoredCov:
+        """S - U W^-1 U^T, appended to the factors."""
+        return replace(self, downdates=self.downdates + ((U, W_inv),))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         P = self.features
         S = P.T @ self.core @ P + self.scale * np.eye(P.shape[1])
-        for U, Z in self.downdates:
-            S -= U @ Z
+        for U, W_inv in self.downdates:
+            S -= U @ W_inv @ U.T
         return np.asarray((S + S.T) / 2.0, dtype=dtype)
 
 
@@ -144,41 +147,41 @@ class AkkfState:
 def gain_update(
     w_minus: np.ndarray,
     S_minus: np.ndarray | FactoredCov,
-    G_yy: np.ndarray,
+    F: np.ndarray,
     g_vec: np.ndarray,
     kappa: float,
 ) -> tuple[np.ndarray, np.ndarray | FactoredCov]:
-    """Gain solve and weight-space measurement update.
+    """Gain solve and weight-space measurement update on a factored Gram.
 
-    With Q = S_minus (G_yy S_minus + kappa I)^-1, applies
-    w_plus = w_minus + Q (g_vec - G_yy w_minus) and
-    S_plus = S_minus - Q G_yy S_minus, symmetrized.
+    F (M x r) factors the observation Gram G = F F^T (in the filter, by
+    :func:`~kkbench.kernels.low_rank_factor`).  With
+    Q = S_minus (G S_minus + kappa I)^-1, applies
+    w_plus = w_minus + Q (g_vec - G w_minus) and
+    S_plus = S_minus - Q G S_minus, symmetrized.
 
-    G_yy is factored as F F^T by pivoted Cholesky
-    (:func:`~kkbench.kernels.low_rank_factor`), and Woodbury's identity
-    replaces the M x M system by an r x r one at every rank r: with
-    U = S_minus F and W = kappa I + F^T U, Q F = U W^-1, so
+    Woodbury's identity replaces the M x M system by an r x r one at every
+    rank r: with U = S_minus F and W = kappa I + F^T U, Q F = U W^-1, so
     S_plus = S_minus - U W^-1 U^T and
     Q rho = (S_minus rho - U W^-1 U^T rho) / kappa.  The innovation
-    rho = g_vec - G_yy w_minus takes the exact Gram, so a zero innovation
-    leaves the weights untouched.  The identity divides by kappa, so a
-    kappa that is not positive, like a failed r x r solve, raises
-    :class:`SingularMatrixError`.  A :class:`FactoredCov` S_minus takes
-    S_plus as one more downdate instead of an M x M difference.
+    rho = g_vec - F (F^T w_minus) goes through the same factor, so where
+    g_vec equals F (F^T w_minus) the weights are left untouched.  The
+    identity divides by kappa, so a kappa that is not positive, like a
+    singular W, raises :class:`SingularMatrixError`.  A :class:`FactoredCov`
+    S_minus takes S_plus as one more downdate instead of an M x M
+    difference.
     """
     if not kappa > 0:
         raise SingularMatrixError("gain system: kappa must be positive")
-    F = low_rank_factor(G_yy)
     U = S_minus @ F
     try:
-        Z = np.linalg.solve(kappa * np.eye(F.shape[1]) + F.T @ U, U.T)
+        W_inv = np.linalg.inv(kappa * np.eye(F.shape[1]) + F.T @ U)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("gain system: solve failed") from exc
-    rho = g_vec - G_yy @ w_minus
-    w_plus = w_minus + (S_minus @ rho - U @ (Z @ rho)) / kappa
+    rho = g_vec - F @ (F.T @ w_minus)
+    w_plus = w_minus + (S_minus @ rho - U @ (W_inv @ (U.T @ rho))) / kappa
     if isinstance(S_minus, FactoredCov):
-        return w_plus, S_minus.downdate(U, Z)
-    S_plus = S_minus - U @ Z
+        return w_plus, S_minus.downdate(U, W_inv)
+    S_plus = S_minus - U @ W_inv @ U.T
     return w_plus, (S_plus + S_plus.T) / 2.0
 
 
@@ -312,8 +315,9 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     """Condition the weights on one observation.
 
     Observation particles are generated through the measurement model with
-    fresh noise draws, and the gain update runs against the kernel vector of
-    the real observation under the fixed observation bandwidth.
+    fresh noise draws.  Under the fixed observation bandwidth, their Gram is
+    factored by pivoted Cholesky, one kernel column per pivot, and the gain
+    update runs against the kernel vector of the real observation.
     """
     cfg = state.config
     particles = state.particles
@@ -323,10 +327,9 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
         raise FilterDivergedError(state.n, "observation particle")
     obs = Ensemble(columns)
     spec = KernelSpec("gaussian", sigma=cfg.obs_sigma)
-    G = gram(spec, obs, obs)
-    target = Ensemble(np.atleast_1d(np.asarray(y_n, dtype=float)).reshape(-1, 1))
-    g_vec = gram(spec, obs, target)[:, 0]
-    state.w, state.S = gain_update(state.w, state.S, G, g_vec, cfg.kappa)
+    g_vec = gaussian_column(spec, obs, y_n)
+    F = low_rank_factor(spec, obs)
+    state.w, state.S = gain_update(state.w, state.S, F, g_vec, cfg.kappa)
     return state
 
 

@@ -4,9 +4,9 @@ State beliefs in this package are carried as weight vectors (and weight
 covariances) over particle ensembles.  This module supplies the kernel
 plumbing those representations rest on: Gram matrix assembly, exact
 low-rank factors of Gram matrices (the explicit polynomial feature map and
-a pivoted Cholesky factor), ridge regularized linear solves with jitter
-escalation, and the extraction of data-space means and covariances from
-weighted ensembles.
+a pivoted Cholesky factor that evaluates a Gaussian Gram column by column),
+ridge regularized linear solves with jitter escalation, and the extraction
+of data-space means and covariances from weighted ensembles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpstrf, dtrtri
+from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import cdist, pdist
 
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
@@ -202,20 +202,49 @@ def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     return phi
 
 
-def low_rank_factor(K: np.ndarray) -> np.ndarray:
-    """Factor F (M x r) of a PSD matrix, K = F F^T up to the rank tolerance.
+def gaussian_column(spec: KernelSpec, E: Ensemble, x) -> np.ndarray:
+    """Gram column k(e_i, x) of a resolved Gaussian kernel over the particles of E."""
+    diff = E.particles - np.reshape(x, (E.dim, 1))
+    diff *= diff
+    return np.exp(diff.sum(axis=0) / -(spec.sigma**2))
 
-    LAPACK's pivoted Cholesky (``dpstrf``) takes the largest remaining
-    diagonal as the next pivot and stops once it is at most
-    :data:`RANK_RTOL` times the mean diagonal, so r is the numerical rank
-    and the cost is O(M r^2) when r is small.  A zero matrix has rank 0.
+
+def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
+    """Pivoted Cholesky factor F (M x r) of E's Gaussian self-Gram K, never formed.
+
+    Each pivot evaluates one column of K, on the particles scaled by
+    1/sigma, so r pivots cost r M kernel values instead of M^2, and F's
+    storage grows with r.  As in LAPACK's ``dpstrf``, the pivot is the
+    largest remaining diagonal, the first on a tie, and r stops growing once
+    none exceeds :data:`RANK_RTOL` times the mean diagonal (1 for a
+    Gaussian), so K = F F^T up to that tolerance.
     """
-    K = np.asarray(K, dtype=float)
-    tol = RANK_RTOL * float(np.mean(np.diag(K)))
-    c, piv, rank, _ = dpstrf(K, tol=tol, lower=1)
-    F = np.empty((K.shape[0], rank))
-    F[piv - 1] = np.tril(c[:, :rank])
-    return F
+    if spec.kind != "gaussian" or not spec.resolved:
+        raise ValueError("the on-demand factor needs a resolved gaussian kernel")
+    X = E.particles / spec.sigma
+    m = E.count
+    F = np.empty((min(m, 16), m))
+    # as in dpstrf, the remaining diagonal is 1 minus the squares taken so
+    # far; a pivot's own row has none left
+    taken = np.zeros(m)
+    rank = 0
+    while rank < m:
+        j = int(taken.argmin())
+        pivot = 1.0 - taken[j]
+        if pivot <= RANK_RTOL:
+            break
+        if rank == len(F):
+            F = np.concatenate([F, np.empty((min(m, 2 * rank) - rank, m))])
+        col = F[rank]
+        diff = X - X[:, j, None]
+        diff *= diff
+        np.exp(-diff.sum(axis=0), out=col)
+        col -= F[:rank, j] @ F[:rank]
+        col *= 1.0 / math.sqrt(pivot)
+        taken += col * col
+        taken[j] = 1.0
+        rank += 1
+    return F[:rank].T
 
 
 def ridge_solve(

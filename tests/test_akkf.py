@@ -6,6 +6,7 @@ solver-based implementation.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,9 @@ class TestAkkfConfig:
 
 
 class TestGainUpdate:
+    # gain_update takes the factor F of G = F F^T: a random G = A A^T / m
+    # comes in as F = A / sqrt(m), and the oracles keep the dense G
+
     def test_matches_inverse_oracle(self):
         rng = np.random.default_rng(0)
         m = 6
@@ -122,47 +126,46 @@ class TestGainUpdate:
         w_exp = w + Q @ (g - G @ w)
         S_exp = S - Q @ G @ S
         S_exp = (S_exp + S_exp.T) / 2.0
-        w_plus, S_plus = gain_update(w, S, G, g, kappa)
+        w_plus, S_plus = gain_update(w, S, A / np.sqrt(m), g, kappa)
         assert_allclose(w_plus, w_exp, rtol=1e-10)
         assert_allclose(S_plus, S_exp, rtol=1e-10, atol=1e-12)
 
     def test_zero_innovation_keeps_weights(self):
         rng = np.random.default_rng(1)
         m = 5
-        A = rng.standard_normal((m, m))
-        G = A @ A.T / m
+        F = rng.standard_normal((m, m)) / np.sqrt(m)
         S = np.eye(m) / m
         w = rng.standard_normal(m)
-        w_plus, _ = gain_update(w, S, G, G @ w, 1e-3)
-        # the innovation vector is exactly zero, so no correction is added
+        w_plus, _ = gain_update(w, S, F, F @ (F.T @ w), 1e-3)
+        # the innovation through the factored Gram is exactly zero, so no
+        # correction is added
         assert np.array_equal(w_plus, w)
 
     def test_huge_kappa_freezes_weights(self):
         rng = np.random.default_rng(2)
         m = 5
-        A = rng.standard_normal((m, m))
-        G = A @ A.T / m
+        F = rng.standard_normal((m, m)) / np.sqrt(m)
         S = np.eye(m) / m
         w = rng.standard_normal(m)
         g = rng.standard_normal(m)
-        w_plus, S_plus = gain_update(w, S, G, g, 1e12)
+        w_plus, S_plus = gain_update(w, S, F, g, 1e12)
         assert_allclose(w_plus, w, atol=1e-6)
         assert_allclose(S_plus, S, atol=1e-6)
 
     def test_result_is_symmetric(self):
         rng = np.random.default_rng(3)
         m = 7
-        A = rng.standard_normal((m, m))
-        G = A @ A.T / m
+        F = rng.standard_normal((m, m)) / np.sqrt(m)
         B = rng.standard_normal((m, m))
         S = B @ B.T / m
-        _, S_plus = gain_update(rng.standard_normal(m), S, G, rng.standard_normal(m), 0.1)
+        _, S_plus = gain_update(rng.standard_normal(m), S, F, rng.standard_normal(m), 0.1)
         assert np.array_equal(S_plus, S_plus.T)
 
     def test_singular_system_raises(self):
+        # a zero Gram has the rank-0 factor
         m = 4
         with pytest.raises(SingularMatrixError, match="gain"):
-            gain_update(np.zeros(m), np.eye(m), np.zeros((m, m)), np.zeros(m), 0.0)
+            gain_update(np.zeros(m), np.eye(m), np.zeros((m, 0)), np.zeros(m), 0.0)
 
     @given(
         m=st.integers(min_value=2, max_value=8),
@@ -181,7 +184,7 @@ class TestGainUpdate:
         Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
         w_exp = w + Q @ (g - G @ w)
         S_exp = S - Q @ G @ S
-        w_plus, S_plus = gain_update(w, S, G, g, kappa)
+        w_plus, S_plus = gain_update(w, S, A / np.sqrt(m), g, kappa)
         assert_allclose(w_plus, w_exp, rtol=1e-8, atol=1e-10)
         assert_allclose(S_plus, (S_exp + S_exp.T) / 2.0, rtol=1e-8, atol=1e-10)
 
@@ -811,7 +814,8 @@ class TestLowRankGain:
         # bearings on prior draws.  At M=100 and 200 the Gaussian
         # observation Gram has numerical rank well below M/2; the small
         # ensembles, on the median-heuristic bandwidth the filter resolves,
-        # are at or near full rank, and Woodbury's r x r system serves both
+        # are at or near full rank, and Woodbury's r x r system serves both.
+        # The gain takes the on-demand factor, the oracle the exact Gram
         rng = np.random.default_rng(int(m / kappa))
         model = build_model(scenario)
         states = prior_draws(scenario, m, rng).particles
@@ -822,12 +826,13 @@ class TestLowRankGain:
         B = rng.standard_normal((m, m))
         S = np.eye(m) / m + B @ B.T / m**2
         w = rng.standard_normal(m) / m
-        assert (2 * low_rank_factor(G).shape[1] <= m) == low_rank
+        F = low_rank_factor(spec, obs)
+        assert (2 * F.shape[1] <= m) == low_rank
 
         Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
         w_exp = w + Q @ (g - G @ w)
         S_exp = S - Q @ G @ S
-        w_plus, S_plus = gain_update(w, S, G, g, kappa)
+        w_plus, S_plus = gain_update(w, S, F, g, kappa)
         assert_close_normwise(w_plus, w_exp, 1e-9)
         assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0, 1e-9)
         assert np.array_equal(S_plus, S_plus.T)
@@ -835,9 +840,8 @@ class TestLowRankGain:
     def test_singular_low_rank_system_raises(self):
         # rank 1 of M=4 without kappa: kappa I + F F^T S is singular
         m = 4
-        G = np.ones((m, m))
         with pytest.raises(SingularMatrixError, match="gain system"):
-            gain_update(np.zeros(m), np.eye(m), G, np.ones(m), 0.0)
+            gain_update(np.zeros(m), np.eye(m), np.ones((m, 1)), np.ones(m), 0.0)
 
     def test_full_rank_without_kappa_raises(self):
         # the Woodbury form divides by kappa, so kappa = 0 is rejected at
@@ -845,3 +849,24 @@ class TestLowRankGain:
         m = 4
         with pytest.raises(SingularMatrixError, match="gain system"):
             gain_update(np.zeros(m), np.eye(m), np.eye(m), np.ones(m), 0.0)
+
+
+class TestFactoredStepMemory:
+    def test_step_peaks_below_one_m_by_m_array(self):
+        # bot-cv quartic at M=800 runs the factored basis, and the gain takes
+        # the observation Gram's factor, built one column per pivot: a step's
+        # traced peak stays below one M x M float64 array (5,000 KiB)
+        m = 800
+        model = build_model("bot-cv")
+        rng = np.random.default_rng(5)
+        ys = simulate(model, 2, rng).observations
+        state = init(model, AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=m), rng)
+        state, _ = step(state, ys[:, 0], model, rng)
+        tracemalloc.start()
+        try:
+            step(state, ys[:, 1], model, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(state.S, akkf.FactoredCov)
+        assert peak < m * m * 8

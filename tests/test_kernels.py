@@ -20,7 +20,7 @@ from kkbench import (
     resolve_bandwidth,
     ridge_solve,
 )
-from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
+from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_column, low_rank_factor
 
 ALL_KINDS = ("quadratic", "quartic", "gaussian")
 
@@ -249,27 +249,55 @@ class TestFeatureMap:
 
 
 class TestLowRankFactor:
-    def test_exact_rank_recovered(self):
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((40, 6))
-        K = B @ B.T
-        F = low_rank_factor(K)
-        assert F.shape == (40, 6)
-        assert_allclose(F @ F.T, K, rtol=0, atol=1e-12 * np.abs(K).max())
+    # pivoted Cholesky of a Gaussian self-Gram, one kernel column per pivot
 
-    def test_full_rank_and_zero(self):
-        assert low_rank_factor(np.eye(5)).shape == (5, 5)
-        assert low_rank_factor(np.zeros((4, 4))).shape == (4, 0)
-
-    def test_gaussian_gram_remainder_below_tolerance(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        d=st.sampled_from((1, 2, 5)),
+        sigma=st.floats(0.1, 10.0),
+        spread=st.floats(1e-3, 100.0),
+        coincident=st.integers(0, 300),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_gaussian_gram_remainder_below_tolerance(self, m, d, sigma, spread, coincident, seed):
         # the dropped remainder K - F F^T is PSD, so its entries are bounded
-        # by its largest diagonal, which the stopping rule caps
+        # by its largest diagonal, which the stopping rule caps; the first
+        # `coincident` particles share one position
+        rng = np.random.default_rng(seed)
+        X = spread * rng.standard_normal((d, m))
+        X[:, :coincident] = X[:, :1]
+        E = Ensemble(X)
+        spec = KernelSpec("gaussian", sigma=sigma)
+        F = low_rank_factor(spec, E)
+        assert F.shape[0] == m and F.shape[1] <= m
+        assert np.abs(gram(spec, E, E) - F @ F.T).max() <= RANK_RTOL
+
+    def test_coincident_particles_give_rank_one(self):
+        E = Ensemble(np.tile([[0.3], [-1.2]], 7))
+        assert_array_equal(low_rank_factor(KernelSpec("gaussian", sigma=1.0), E), np.ones((7, 1)))
+
+    def test_single_particle(self):
+        E = Ensemble(np.array([[2.0]]))
+        assert_array_equal(low_rank_factor(KernelSpec("gaussian", sigma=1.0), E), [[1.0]])
+
+    def test_never_more_columns_than_particles(self):
+        # particles 100 bandwidths apart: the Gram is the identity, and the
+        # factor stops at full rank
+        E = Ensemble(100.0 * np.arange(6.0)[None, :])
+        assert_array_equal(low_rank_factor(KernelSpec("gaussian", sigma=1.0), E), np.eye(6))
+
+    def test_column_matches_gram(self):
         rng = np.random.default_rng(1)
-        E = Ensemble(rng.uniform(-np.pi, np.pi, (1, 200)))
-        K = gram(KernelSpec("gaussian", sigma=1.0), E, E)
-        F = low_rank_factor(K)
-        assert F.shape[1] <= 100
-        assert np.abs(K - F @ F.T).max() <= RANK_RTOL
+        E, x = random_ensemble(rng, 3, 9), rng.standard_normal(3)
+        spec = KernelSpec("gaussian", sigma=1.7)
+        expected = gram(spec, E, Ensemble(x[:, None]))[:, 0]
+        assert_allclose(gaussian_column(spec, E, x), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("spec", [KernelSpec("quartic"), KernelSpec("gaussian")])
+    def test_needs_resolved_gaussian(self, spec):
+        with pytest.raises(ValueError, match="resolved gaussian"):
+            low_rank_factor(spec, Ensemble(np.zeros((1, 3))))
 
 
 class TestRidgeSolve:
