@@ -237,47 +237,51 @@ class BasisChange:
 def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> BasisChange:
     """Change of basis onto ``proposals`` and their propagation residual.
 
-    One ridge solve on the proposal self-Gram K serves both: its stacked
-    right-hand side gives Gamma = (K + lambda I)^-1 K_px, which maps weights
-    over ``particles`` onto the proposals, and the ridge-smoothed identity
-    T = (K + lambda I)^-1 K, whose residual V = (1/M) (T - I)(T - I)^T is
-    the finite-sample propagation error of the proposal basis.  When
-    ``particles is proposals`` Gamma is T itself, so the solve takes K alone.
+    Both come by products from one inverse Cholesky factor Q of the ridge
+    system on the proposal self-Gram K (:func:`~kkbench.kernels.ridge_solve`):
+    A^-1 = Q^T Q for A = K + s I, s the shift the factorization took.
+    Gamma = A^-1 K_px maps weights over ``particles`` onto the proposals
+    (when ``particles is proposals``, Gamma = T = I - s A^-1).  The
+    ridge-smoothed identity T = A^-1 K has T - I = -s A^-1 exactly, so the
+    residual V = (1/M) (T - I)(T - I)^T, the finite-sample propagation
+    error of the proposal basis, is (s^2/M) A^-1 A^-1, with no cancellation.
     A Gaussian kernel resolves its bandwidth on the proposals first.
 
     A polynomial kernel whose feature count r = C(d+p, p) is at most
     :data:`LOW_RANK_MAX_SHARE` of M solves in feature space instead.  With
-    K = F^T F, K_px = F^T F_x, C = F F^T and the Cholesky factor
-    L L^T = C + lambda I, the push-through identity
-    (F^T F + lambda I)^-1 F^T = F^T (C + lambda I)^-1 gives Gamma = P^T P_x
-    and T = P^T P over the whitened features P = L^-1 F and P_x = L^-1 F_x,
-    so (T - I)^2 = P^T (P P^T - 2 I) P + I.  One half solve of the r x r
-    ridge system (one Cholesky factor, as on the dense path) gives P and
-    P_x.  P's singular values are s / sqrt(s^2 + lambda) for the singular
-    values s of F, all below 1, so the factors of Gamma, V and the weight
-    covariance carried on P keep the scale of their dense forms.  On F
-    itself those factors carry (C + lambda I)^-1, the products that cancel
-    it round about 1/lambda_tilde times coarser, and the gain's Woodbury
-    difference, divided by kappa, amplifies that.  lambda uses trace(C)/M,
-    the same mean Gram diagonal as the dense solve.
+    K = F^T F, K_px = F^T F_x, C = F F^T and Q the inverse Cholesky factor
+    of C + s I, the push-through identity (F^T F + s I)^-1 F^T =
+    F^T (C + s I)^-1 gives Gamma = P^T P_x and T = P^T P over the whitened
+    features P = Q F and P_x = Q F_x.  As P P^T = Q C Q^T = I - s Q Q^T,
+    (T - I)^2 = P^T (P P^T - 2 I) P + I has the r x r middle -(I + s Q Q^T).
+    P's singular values sigma / sqrt(sigma^2 + s), for those sigma of F,
+    lie below 1, so the factors of Gamma, V and the weight covariance
+    carried on P keep the scale of their dense forms.  On F itself those
+    factors carry (C + s I)^-1, the products that cancel it round about
+    1/lambda_tilde times coarser, and the gain's Woodbury difference,
+    divided by kappa, amplifies that.  lambda uses trace(C)/M, the same
+    mean Gram diagonal as the dense solve.
     """
     spec = cfg.state_kernel
     m = proposals.count
     if spec.kind in POLY_KINDS and feature_dim(spec, proposals.dim) <= LOW_RANK_MAX_SHARE * m:
         F = feature_map(spec, proposals)
-        rhs = F if particles is proposals else np.hstack([feature_map(spec, particles), F])
         C = F @ F.T
         lam = cfg.lambda_tilde * float(np.trace(C)) / m
-        W = ridge_solve(C, lam, rhs, name="proposal feature gram", half=True)
-        P = W[:, -m:]
-        return BasisChange(W[:, : particles.count], (P @ P.T - 2.0 * np.eye(len(C))) / m, P)
+        Q, shift = ridge_solve(C, lam, name="proposal feature gram")
+        P = Q @ F
+        P_x = P if particles is proposals else Q @ feature_map(spec, particles)
+        return BasisChange(P_x, (Q @ Q.T) * (-shift / m) - np.eye(len(C)) / m, P)
     spec = resolve_bandwidth(spec, proposals)
     K_pp = gram(spec, proposals, proposals)
-    rhs = K_pp if particles is proposals else np.hstack([gram(spec, proposals, particles), K_pp])
-    lam = cfg.lambda_tilde * _gram_scale(K_pp)
-    X = ridge_solve(K_pp, lam, rhs, name="proposal self-gram")
-    residual = X[:, -m:] - np.eye(m)
-    return BasisChange(X[:, : particles.count], (residual @ residual.T) / m)
+    Q, shift = ridge_solve(K_pp, cfg.lambda_tilde * _gram_scale(K_pp), name="proposal self-gram")
+    # X @ X.T-shaped products go through BLAS syrk, so A^-1 and V come out exactly symmetric
+    A_inv = Q.T @ Q
+    if particles is proposals:
+        core = np.eye(m) - shift * A_inv
+    else:
+        core = A_inv @ gram(spec, proposals, particles)
+    return BasisChange(core, (A_inv @ A_inv.T) * (shift * shift / m))
 
 
 def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> AkkfState:
@@ -353,9 +357,9 @@ def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) 
     """Redraw the particles and re-express the weights in their basis.
 
     Proposals are sampled from the posterior belief and replace the
-    particles; the basis change solves the ridge system between the
-    proposal self-Gram and the proposal-to-current cross-Gram, and the
-    proposal basis's propagation residual is added to the rebased ``S``.
+    particles; the basis change maps the weights through the ridge system
+    of the proposal self-Gram and the proposal-to-current cross-Gram, and
+    the proposal basis's propagation residual is added to the rebased ``S``.
     """
     proposals = Ensemble(belief.sample(rng, state.config.M))
     basis = _rebasis(state.config, proposals, state.particles)

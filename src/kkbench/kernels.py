@@ -5,20 +5,22 @@ covariances) over particle ensembles.  This module supplies the kernel
 plumbing those representations rest on: Gram matrix assembly, exact
 low-rank factors of Gram matrices (the explicit polynomial feature map and
 a pivoted Cholesky factor that evaluates a Gaussian Gram column by column),
-ridge regularized linear solves with jitter escalation, and the extraction
-of data-space means and covariances from weighted ensembles.
+the inverse Cholesky factor of a ridge regularized Gram, whose jitter
+escalation warns, and the extraction of data-space means and covariances
+from weighted ensembles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401  cho_solve: uncalled, kept for tracers
 from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import cdist, pdist
 
@@ -247,29 +249,22 @@ def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     return F[:rank].T
 
 
-def ridge_solve(
-    K: np.ndarray, lam: float, B: np.ndarray, name: str = "gram matrix", half: bool = False
-) -> np.ndarray:
-    """Solve (K + lam*I) X = B through a Cholesky factorization L L^T = K + lam*I.
+def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[np.ndarray, float]:
+    """Inverse Cholesky factor Q = L^-1 of the ridge system L L^T = K + shift*I.
 
-    With ``half``, return L^-1 B instead, so that for any two blocks
-    (L^-1 B_1)^T (L^-1 B_2) = B_1^T (K + lam*I)^-1 B_2.  It is formed
-    through the triangular inverse of L and one product: with one BLAS
-    thread, that costs a fraction of a triangular solve of many
-    right-hand-side columns.
-
-    A failed factorization is retried with a jitter of 1e-10*trace(K)/M
-    added to lam, escalated tenfold up to three times, before raising
-    :class:`SingularMatrixError`.
+    Returns ``(Q, shift)``: Q is lower triangular with Q (K + shift*I) Q^T
+    = I, so (K + shift*I)^-1 = Q^T Q and every solve is a product with Q,
+    which with one BLAS thread costs less than a triangular solve of as
+    many right-hand sides.  ``shift`` is lam, or, when that factorization
+    fails, lam plus a jitter of 1e-10*trace(K)/M, escalated tenfold up to
+    three times; then a :class:`RuntimeWarning` names the system and the
+    shift.  A system that stays singular raises :class:`SingularMatrixError`.
     """
     values = np.asarray(K, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("K must be square")
     if not lam >= 0:
         raise ValueError("ridge parameter must be nonnegative")
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] != values.shape[0]:
-        raise ValueError("B must have as many rows as K")
     m = values.shape[0]
     eye = np.eye(m)
     jitter = 1e-10 * float(np.trace(values)) / m
@@ -277,11 +272,12 @@ def ridge_solve(
         shift = lam if attempt == 0 else lam + jitter * 10.0 ** (attempt - 1)
         try:
             factor = cho_factor(values + shift * eye, lower=True)
-            if half:
-                return np.tril(dtrtri(factor[0], lower=1)[0]) @ B
-            return cho_solve(factor, B)
         except np.linalg.LinAlgError:
             continue
+        if attempt:
+            message = f"{name}: jitter escalated the ridge {lam:.6g} to a shift of {shift:.6g}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        return np.tril(dtrtri(factor[0], lower=1)[0]), shift
     raise SingularMatrixError(f"{name}: ridge system singular after jitter escalation")
 
 

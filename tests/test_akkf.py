@@ -81,6 +81,24 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
     )
 
 
+def spy_cholesky(monkeypatch):
+    """Record each call of the lookups perfbench's tracer counts: kernels.cho_factor and cho_solve."""
+    calls = []
+    real_factor, real_solve = kernels.cho_factor, kernels.cho_solve
+
+    def factor(a, *args, **kwargs):
+        calls.append(("cho_factor", a.shape))
+        return real_factor(a, *args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls.append(("cho_solve",))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "cho_factor", factor)
+    monkeypatch.setattr(kernels, "cho_solve", solve)
+    return calls
+
+
 class TestAkkfConfig:
     def test_defaults(self):
         cfg = AkkfConfig(KernelSpec("quadratic"), obs_sigma=1.0)
@@ -201,22 +219,19 @@ class TestInit:
         assert_allclose(state.S, np.eye(6) / 6.0 + V)
         assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S", "n"]
 
-    def test_one_gram_and_m_column_solve(self, monkeypatch):
+    def test_one_gram_and_one_factor(self, monkeypatch):
         # the prior draws are their own basis, so init needs the self-Gram
-        # alone and solves M right-hand-side columns for the residual; on
-        # a Gaussian kernel the median bandwidth takes one pairwise-distance
-        # pass and the self-Gram another, and no cross-Gram is built
-        grams, widths, passes = [], [], []
-        real_gram, real_solve = akkf.gram, akkf.ridge_solve
+        # alone and one Cholesky factor, whose inverse gives the residual
+        # by products with no solve; on a Gaussian kernel the median
+        # bandwidth takes one pairwise-distance pass and the self-Gram
+        # another, and no cross-Gram is built
+        grams, passes = [], []
+        real_gram = akkf.gram
         real_pdist, real_cdist = kernels.pdist, kernels.cdist
 
         def counting_gram(spec, A, B):
             grams.append((A.count, B.count))
             return real_gram(spec, A, B)
-
-        def counting_solve(K, lam, B, name="gram matrix"):
-            widths.append(B.shape[1])
-            return real_solve(K, lam, B, name=name)
 
         def counting_pdist(X, *args):
             passes.append(("pdist", len(X)))
@@ -227,14 +242,14 @@ class TestInit:
             return real_cdist(X, Y, *args)
 
         monkeypatch.setattr(akkf, "gram", counting_gram)
-        monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
         monkeypatch.setattr(kernels, "pdist", counting_pdist)
         monkeypatch.setattr(kernels, "cdist", counting_cdist)
+        linalg = spy_cholesky(monkeypatch)
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=7)
         init(identity_model(), cfg, np.random.default_rng(0))
         assert grams == [(7, 7)]
         assert passes == [("pdist", 7), ("cdist", 7)]
-        assert widths == [7]
+        assert linalg == [("cho_factor", (7, 7))]
 
     def test_deterministic_prior_gives_equal_particles(self):
         model = build_model("ungm")
@@ -738,49 +753,43 @@ class TestLowRankRebasis:
         assert_close_normwise(np.asarray(_rebasis(cfg, proposals, proposals).spread(0.0)), V_self, 1e-9)
 
     def test_goes_through_kernels_ridge_solve_and_cho_factor(self, monkeypatch):
-        # the r x r solve is the one factorization of the basis, on the
-        # lookups perfbench's tracer counts; no M x M Gram is built
-        factored, grams = [], []
-        real_factor, real_gram = kernels.cho_factor, akkf.gram
-
-        def recording_factor(a, *args, **kwargs):
-            factored.append(a.shape)
-            return real_factor(a, *args, **kwargs)
+        # the r x r factor is the one factorization of the basis, on the
+        # lookups perfbench's tracer counts, and no solve follows it; no
+        # M x M Gram is built
+        grams = []
+        real_gram = akkf.gram
 
         def counting_gram(spec, A, B):
             grams.append((A.count, B.count))
             return real_gram(spec, A, B)
 
-        monkeypatch.setattr(kernels, "cho_factor", recording_factor)
+        linalg = spy_cholesky(monkeypatch)
         monkeypatch.setattr(akkf, "gram", counting_gram)
         assert akkf.ridge_solve is kernels.ridge_solve
         rng = np.random.default_rng(32)
         cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         _rebasis(cfg, prior_draws("bot-cv", 200, rng), prior_draws("bot-cv", 200, rng))
-        assert factored == [(70, 70)]
+        assert linalg == [("cho_factor", (70, 70))]
         assert grams == []
 
     def test_bot_ct_quartic_stays_dense(self, monkeypatch):
-        # d = 5 gives r = C(9, 4) = 126 > M/2 at M=200
-        grams, solved = [], []
-        real_gram, real_solve = akkf.gram, akkf.ridge_solve
+        # d = 5 gives r = C(9, 4) = 126 > M/2 at M=200: one M x M factor
+        # and products with its inverse, no solve
+        grams = []
+        real_gram = akkf.gram
 
         def counting_gram(spec, A, B):
             grams.append((A.count, B.count))
             return real_gram(spec, A, B)
 
-        def counting_solve(K, lam, B, name="gram matrix"):
-            solved.append(K.shape)
-            return real_solve(K, lam, B, name=name)
-
         monkeypatch.setattr(akkf, "gram", counting_gram)
-        monkeypatch.setattr(akkf, "ridge_solve", counting_solve)
+        linalg = spy_cholesky(monkeypatch)
         rng = np.random.default_rng(33)
         cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         basis = _rebasis(cfg, prior_draws("bot-ct", 200, rng), prior_draws("bot-ct", 200, rng))
         assert basis.features is None
         assert grams == [(200, 200), (200, 200)]
-        assert solved == [(200, 200)]
+        assert linalg == [("cho_factor", (200, 200))]
 
     @pytest.mark.parametrize("m, factored", [(5, False), (6, True)])
     def test_rank_rule_boundary(self, m, factored):

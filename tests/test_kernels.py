@@ -300,63 +300,74 @@ class TestLowRankFactor:
             low_rank_factor(spec, Ensemble(np.zeros((1, 3))))
 
 
+def assert_whitens(Q, K, shift, tol):
+    """Q is lower triangular and Q (K + shift I) Q^T = I."""
+    assert_array_equal(Q, np.tril(Q))
+    whitened = Q @ (K + shift * np.eye(len(K))) @ Q.T
+    assert np.abs(whitened - np.eye(len(K))).max() <= tol
+
+
 class TestRidgeSolve:
     def test_identity_no_ridge(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        assert_allclose(ridge_solve(np.eye(3), 0.0, b), b, rtol=1e-14)
+        Q, shift = ridge_solve(np.eye(3), 0.0)
+        assert shift == 0.0
+        assert_allclose(Q, np.eye(3), rtol=1e-14)
 
     def test_identity_unit_ridge(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        assert_allclose(ridge_solve(np.eye(3), 1.0, b), b / 2.0, rtol=1e-14)
+        Q, shift = ridge_solve(np.eye(3), 1.0)
+        assert shift == 1.0
+        assert_allclose(Q, np.eye(3) / math.sqrt(2.0), rtol=1e-14)
 
     def test_two_by_two_closed_form(self):
+        # Q is the inverse of the lower Cholesky factor, and Q^T Q the
+        # inverse of the ridge system
         K = np.array([[2.0, 1.0], [1.0, 2.0]])
-        got = ridge_solve(K, 0.5, np.eye(2))
-        assert_allclose(got, np.linalg.inv(K + 0.5 * np.eye(2)), rtol=1e-13)
+        Q, shift = ridge_solve(K, 0.5)
+        assert shift == 0.5
+        L = np.linalg.cholesky(K + 0.5 * np.eye(2))
+        assert_allclose(Q, np.linalg.inv(L), rtol=1e-14, atol=1e-15)
+        assert_allclose(Q.T @ Q, np.linalg.inv(K + 0.5 * np.eye(2)), rtol=1e-13)
 
     def test_singular_after_escalation(self):
-        with pytest.raises(SingularMatrixError, match="proposal"):
-            ridge_solve(np.zeros((3, 3)), 0.0, np.eye(3), name="proposal self-gram")
+        # the zero matrix's jitter 1e-10 * trace / M is zero, so every retry fails
+        with pytest.raises(SingularMatrixError, match="proposal self-gram"):
+            ridge_solve(np.zeros((3, 3)), 0.0, name="proposal self-gram")
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), -1.0, np.eye(2))
+            ridge_solve(np.eye(2), -1.0)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            ridge_solve(np.ones((2, 3)), 0.0, np.eye(2))
+            ridge_solve(np.ones((2, 3)), 0.0)
         with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), 0.0, np.eye(3))
+            ridge_solve(np.ones(3), 0.0)
 
-    def test_half_solve_is_lower_cholesky_inverse(self):
-        K = np.array([[4.0, 2.0], [2.0, 3.0]])
-        L = np.linalg.cholesky(K + 1.0 * np.eye(2))
-        B = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
-        assert_allclose(ridge_solve(K, 1.0, B, half=True), np.linalg.solve(L, B), rtol=1e-14)
-
-    def test_half_solve_escalates_jitter(self):
+    def test_jitter_escalation_warns(self):
         # a rank-one K with no ridge fails the first factorization; the
-        # half solve retries with the same jitter as the full solve
+        # retry's shift is returned, named in the warning, and whitened by Q
         K = np.ones((3, 3))
-        W = ridge_solve(K, 0.0, np.eye(3), half=True)
-        X = ridge_solve(K, 0.0, np.eye(3))
-        assert_allclose(W.T @ W, X, rtol=1e-6)
-        with pytest.raises(SingularMatrixError, match="proposal"):
-            ridge_solve(np.zeros((3, 3)), 0.0, np.eye(3), name="proposal feature gram", half=True)
+        with pytest.warns(RuntimeWarning, match="proposal feature gram.*shift") as caught:
+            Q, shift = ridge_solve(K, 0.0, name="proposal feature gram")
+        assert len(caught) == 1
+        assert shift > 0.0
+        assert f"{shift:.6g}" in str(caught[0].message)
+        assert_whitens(Q, K, shift, 1e-6)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 10), lam=st.floats(1e-6, 10.0))
-def test_half_solve_products_match_full_solve(seed, m, lam):
-    # (L^-1 B_1)^T (L^-1 B_2) = B_1^T (K + lam I)^-1 B_2
+def test_inverse_factor_products_match_solve(seed, m, lam):
+    # (Q B_1)^T (Q B_2) = B_1^T (K + lam I)^-1 B_2
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, m))
     K = A @ A.T
     B1, B2 = rng.standard_normal((m, 3)), rng.standard_normal((m, 2))
-    W = ridge_solve(K, lam, np.hstack([B1, B2]), half=True)
-    expected = B1.T @ ridge_solve(K, lam, B2)
+    Q, shift = ridge_solve(K, lam)
+    assert shift == lam
+    expected = B1.T @ np.linalg.solve(K + lam * np.eye(m), B2)
     scale = np.linalg.norm(B1) * np.linalg.norm(B2) / lam
-    assert np.abs(W[:, :3].T @ W[:, 3:] - expected).max() <= 1e-9 * scale
+    assert np.abs((Q @ B1).T @ (Q @ B2) - expected).max() <= 1e-9 * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -365,10 +376,10 @@ def test_ridge_solve_residual(seed, m, lam):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, m))
     K = A @ A.T + 1e-6 * np.eye(m)
-    B = rng.standard_normal((m, 3))
-    X = ridge_solve(K, lam, B)
-    residual = np.linalg.norm((K + lam * np.eye(m)) @ X - B)
-    assert residual <= 1e-8 * (np.linalg.norm(K) + lam) * (1.0 + np.linalg.norm(X))
+    Q, shift = ridge_solve(K, lam)
+    assert shift == lam
+    cond = np.linalg.cond(K + lam * np.eye(m))
+    assert_whitens(Q, K, shift, 1e-12 * cond)
 
 
 class TestPsdRepair:
