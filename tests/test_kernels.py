@@ -318,6 +318,15 @@ class TestRidgeSolve:
         assert shift == 1.0
         assert_allclose(Q, np.eye(3) / math.sqrt(2.0), rtol=1e-14)
 
+    def test_half_solve_is_lower_cholesky_inverse(self):
+        # the product Q B is the half solve L^-1 B of the lower Cholesky factor
+        K = np.array([[4.0, 2.0], [2.0, 3.0]])
+        L = np.linalg.cholesky(K + 1.0 * np.eye(2))
+        B = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
+        Q, shift = ridge_solve(K, 1.0)
+        assert shift == 1.0
+        assert_allclose(Q @ B, np.linalg.solve(L, B), rtol=1e-14)
+
     def test_two_by_two_closed_form(self):
         # Q is the inverse of the lower Cholesky factor, and Q^T Q the
         # inverse of the ridge system
