@@ -25,7 +25,6 @@ from .kernels import (
     extract_moments_poly,
     feature_dim,
     feature_map,
-    gaussian_column,
     gram,
     low_rank_factor,
     project_moments,
@@ -185,14 +184,6 @@ def gain_update(
     return w_plus, (S_plus + S_plus.T) / 2.0
 
 
-def _gram_scale(K: np.ndarray) -> float:
-    # lambda_tilde is relative to the kernel's self-similarity scale so one
-    # value works across data magnitudes; rescaling k by a constant leaves
-    # (K + lambda*scale*I)^-1 K_cross unchanged.  Gaussian grams have unit
-    # diagonal, so this is the identity for them.
-    return float(np.mean(np.diag(K)))
-
-
 @dataclass(frozen=True)
 class BasisChange:
     """Change of basis onto a proposal ensemble, dense or in feature space.
@@ -213,14 +204,15 @@ class BasisChange:
         P, R = self.features, self.residual
         if P is None:
             return np.eye(len(R)) * c + R
-        return FactoredCov(P, (R + R.T) / 2.0, 1.0 / P.shape[1] + c)
+        return FactoredCov(P, R, 1.0 / P.shape[1] + c)
 
     def carry(
         self, w: np.ndarray, S: np.ndarray | FactoredCov
     ) -> tuple[np.ndarray, np.ndarray | FactoredCov]:
         """Gamma w and the symmetrized Gamma S Gamma^T + V.
 
-        Factored, both go through the r x r core:
+        Factored, S is the :class:`FactoredCov` the filter keeps on such a
+        basis, and both go through the r x r core:
         Gamma S Gamma^T + V = P^T (core S core^T + residual) P + I/M, whose
         r x r middle is the sandwich of S, so the result is a
         :class:`FactoredCov` and no M x M array is formed.
@@ -229,8 +221,7 @@ class BasisChange:
         if P is None:
             S = core @ S @ core.T
             return core @ w, (S + S.T) / 2.0 + self.residual
-        inner = S.sandwich(core) if isinstance(S, FactoredCov) else core @ S @ core.T
-        inner += self.residual
+        inner = S.sandwich(core) + self.residual
         return P.T @ (core @ w), FactoredCov(P, (inner + inner.T) / 2.0, 1.0 / P.shape[1])
 
 
@@ -274,7 +265,12 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
         return BasisChange(P_x, (Q @ Q.T) * (-shift / m) - np.eye(len(C)) / m, P)
     spec = resolve_bandwidth(spec, proposals)
     K_pp = gram(spec, proposals, proposals)
-    Q, shift = ridge_solve(K_pp, cfg.lambda_tilde * _gram_scale(K_pp), name="proposal self-gram")
+    # lambda_tilde is relative to the kernel's self-similarity scale, the
+    # mean Gram diagonal, so one value works across data magnitudes;
+    # rescaling k by a constant leaves (K + lambda_tilde*scale*I)^-1 K_px
+    # unchanged.  Gaussian Grams have unit diagonal, so the scale is 1.
+    lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
+    Q, shift = ridge_solve(K_pp, lam, name="proposal self-gram")
     # X @ X.T-shaped products go through BLAS syrk, so A^-1 and V come out exactly symmetric
     A_inv = Q.T @ Q
     if particles is proposals:
@@ -331,7 +327,7 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
         raise FilterDivergedError(state.n, "observation particle")
     obs = Ensemble(columns)
     spec = KernelSpec("gaussian", sigma=cfg.obs_sigma)
-    g_vec = gaussian_column(spec, obs, y_n)
+    g_vec = gram(spec, obs, Ensemble(np.reshape(y_n, (-1, 1))))[:, 0]
     F = low_rank_factor(spec, obs)
     state.w, state.S = gain_update(state.w, state.S, F, g_vec, cfg.kappa)
     return state

@@ -149,8 +149,10 @@ def ukf_step(
     """Additive-noise unscented update with 2d+1 sigma points; ``rng`` goes unused.
 
     Observation residuals pass through the model's wrap function when one is
-    defined, so bearing innovations stay in (-pi, pi].  A posterior
-    covariance that comes out indefinite is PSD-repaired, with a warning.
+    defined, so bearing innovations stay in (-pi, pi].  A non-finite
+    propagated or measured sigma point raises :class:`FilterDivergedError`.
+    A posterior covariance that comes out indefinite is PSD-repaired, with a
+    warning.
     """
     n, belief = state.n + 1, state.belief
     d = model.state_dim
@@ -161,6 +163,8 @@ def ukf_step(
     points, lam = _sigma_points(belief, UKF_ALPHA, UKF_KAPPA)
     w_mean, w_cov = _sigma_weights(d, lam, UKF_ALPHA, UKF_BETA)
     propagated = model.process(points, zero_u, n)
+    if not np.isfinite(propagated).all():
+        raise FilterDivergedError(n, "sigma point")
     mean_pred = propagated @ w_mean
     centered = propagated - mean_pred[:, None]
     cov_pred = (centered * w_cov) @ centered.T + model.process_noise_cov(belief.mean)
@@ -168,6 +172,8 @@ def ukf_step(
 
     points2, _ = _sigma_points(predicted, UKF_ALPHA, UKF_KAPPA)
     obs = model.measure(points2, zero_v)
+    if not np.isfinite(obs).all():
+        raise FilterDivergedError(n, "sigma point")
     y_mean = obs @ w_mean
     dy = wrap(obs - y_mean[:, None])
     dx = points2 - predicted.mean[:, None]

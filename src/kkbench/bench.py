@@ -57,7 +57,6 @@ class ScenarioConfig:
     seed: int
     lam: float = 1e-3
     kappa: float = 1e-3
-    horizon: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -71,8 +70,6 @@ class ScenarioConfig:
             raise ValueError(f"{self.filter} needs at least {minimum} particles")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
 
 
 @dataclass
@@ -184,7 +181,7 @@ def run_one(cfg: ScenarioConfig, r: int) -> RunRecord:
     The recorded runtime covers the filter only, not the simulation.
     """
     rng = realization_rng(cfg.seed, r)
-    model = build_model(cfg.scenario, cfg.horizon)
+    model = build_model(cfg.scenario)
     try:
         trajectory = simulate(model, model.default_horizon, rng)
     except SimulationDivergedError:
@@ -249,23 +246,24 @@ def sweep(
     return [(cfg, run_mc(cfg, workers=workers)[1]) for cfg in cells]
 
 
-def write_run_csv(path, cfg: ScenarioConfig, records: list[RunRecord]) -> None:
-    """Per-realization rows under the fixed header."""
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RUN_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    cfg.scenario,
-                    cfg.filter,
-                    cfg.M,
-                    rec.realization,
-                    repr(rec.metric),
-                    repr(rec.runtime_s),
-                    int(rec.diverged),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_run_csv(path, cfg: ScenarioConfig, records: list[RunRecord]) -> None:
+    """Per-realization rows under the fixed header."""
+    _write_csv(
+        path,
+        RUN_HEADER,
+        (
+            [cfg.scenario, cfg.filter, cfg.M, rec.realization, repr(rec.metric),
+             repr(rec.runtime_s), int(rec.diverged)]
+            for rec in records
+        ),
+    )
 
 
 def read_run_csv(path) -> list[RunRecord]:
@@ -291,19 +289,12 @@ def read_run_csv(path) -> list[RunRecord]:
 
 def write_summary_csv(path, rows: list[tuple[ScenarioConfig, MetricsSummary]]) -> None:
     """One row per (filter, particle count) cell under the fixed header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for cfg, summary in rows:
-            writer.writerow(
-                [
-                    cfg.scenario,
-                    cfg.filter,
-                    cfg.M,
-                    repr(summary.metric_mean),
-                    repr(summary.metric_std),
-                    summary.diverged_count,
-                    repr(summary.runtime_mean_s),
-                    repr(summary.metric_se),
-                ]
-            )
+    _write_csv(
+        path,
+        SUMMARY_HEADER,
+        (
+            [cfg.scenario, cfg.filter, cfg.M, repr(summary.metric_mean), repr(summary.metric_std),
+             summary.diverged_count, repr(summary.runtime_mean_s), repr(summary.metric_se)]
+            for cfg, summary in rows
+        ),
+    )

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--seed", type=int, required=True)
     cell.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     cell.add_argument("--kappa", type=float, default=1e-3)
-    cell.add_argument("--horizon", type=int, default=None)
     cell.add_argument("--workers", type=_positive_int, default=1)
     cell.add_argument("--out", required=True)
 
@@ -83,7 +82,6 @@ def _scenario_config(args: argparse.Namespace, filter_name: str, M: int) -> Scen
         seed=args.seed,
         lam=args.lam,
         kappa=args.kappa,
-        horizon=args.horizon,
     )
 
 

@@ -148,10 +148,10 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
 def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     """Assemble the Gram matrix K[i, j] = k(a_i, b_j) over the particles of A and B.
 
-    A polynomial Gram of an ensemble against itself (``A is B``) is
-    symmetrized exactly.  A Gaussian one needs no pass: (a - b)^2 and
-    (b - a)^2 are equal bit for bit, so its squared distances, and their
-    exponentials, already are.
+    A Gram of an ensemble against itself is exactly symmetric with no
+    symmetrizing pass: (a - b)^2 and (b - a)^2 are equal bit for bit, and
+    numpy forms a polynomial Gram's X^T X through BLAS syrk, which writes one
+    triangle and mirrors it.
     """
     if not spec.resolved:
         raise ValueError("gaussian bandwidth is unresolved")
@@ -160,10 +160,7 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     if spec.kind == "gaussian":
         sq = cdist(A.particles.T, B.particles.T, "sqeuclidean")
         return np.exp(-sq / spec.sigma**2)
-    values = (A.particles.T @ B.particles + spec.c) ** POLY_DEGREE[spec.kind]
-    if A is B:
-        values = (values + values.T) / 2.0
-    return values
+    return (A.particles.T @ B.particles + spec.c) ** POLY_DEGREE[spec.kind]
 
 
 def feature_dim(spec: KernelSpec, dim: int) -> int:
@@ -204,26 +201,20 @@ def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     return phi
 
 
-def gaussian_column(spec: KernelSpec, E: Ensemble, x) -> np.ndarray:
-    """Gram column k(e_i, x) of a resolved Gaussian kernel over the particles of E."""
-    diff = E.particles - np.reshape(x, (E.dim, 1))
-    diff *= diff
-    return np.exp(diff.sum(axis=0) / -(spec.sigma**2))
-
-
 def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     """Pivoted Cholesky factor F (M x r) of E's Gaussian self-Gram K, never formed.
 
-    Each pivot evaluates one column of K, on the particles scaled by
-    1/sigma, so r pivots cost r M kernel values instead of M^2, and F's
-    storage grows with r.  As in LAPACK's ``dpstrf``, the pivot is the
-    largest remaining diagonal, the first on a tie, and r stops growing once
-    none exceeds :data:`RANK_RTOL` times the mean diagonal (1 for a
-    Gaussian), so K = F F^T up to that tolerance.
+    Each pivot evaluates one column of K by :func:`gram`'s formula, bit for
+    bit: squared differences of the particles, summed in ``cdist``'s order
+    and divided by -sigma^2.  So r pivots cost r M kernel values instead of
+    M^2, and F's storage grows with r.  As in LAPACK's ``dpstrf``, the
+    pivot is the largest remaining diagonal, the first on a tie, and r stops
+    growing once none exceeds :data:`RANK_RTOL` times the mean diagonal (1
+    for a Gaussian), so K = F F^T up to that tolerance.
     """
     if spec.kind != "gaussian" or not spec.resolved:
         raise ValueError("the on-demand factor needs a resolved gaussian kernel")
-    X = E.particles / spec.sigma
+    X = E.particles
     m = E.count
     F = np.empty((min(m, 16), m))
     # as in dpstrf, the remaining diagonal is 1 minus the squares taken so
@@ -240,7 +231,7 @@ def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
         col = F[rank]
         diff = X - X[:, j, None]
         diff *= diff
-        np.exp(-diff.sum(axis=0), out=col)
+        np.exp(diff.sum(axis=0) / -(spec.sigma**2), out=col)
         col -= F[:rank, j] @ F[:rank]
         col *= 1.0 / math.sqrt(pivot)
         taken += col * col

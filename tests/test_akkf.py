@@ -30,7 +30,7 @@ from kkbench import (
     simulate,
 )
 from kkbench import akkf, kernels
-from kkbench.akkf import _gram_scale, _rebasis, estimate, init, predict, propose, step, update
+from kkbench.akkf import _rebasis, estimate, init, predict, propose, step, update
 from kkbench.kernels import low_rank_factor
 from kkbench.models import StateSpaceModel
 
@@ -426,11 +426,6 @@ class TestPropose:
         assert_allclose(state.w, w_before, atol=1e-6)
         assert_allclose(state.particles.particles @ state.w, mean_before, atol=1e-6)
 
-    def test_gram_scale_is_mean_diagonal(self):
-        E = Ensemble(np.array([[1.0, 2.0, 3.0]]))
-        K = gram(KernelSpec("quartic", c=0.5), E, E)
-        assert _gram_scale(K) == pytest.approx(float(np.mean(np.diag(K))))
-
 
 class TestStep:
     def test_filter_sequence_deterministic(self):
@@ -730,8 +725,10 @@ class TestLowRankRebasis:
         cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
         particles = prior_draws("bot-cv", 200, rng, spread)
         proposals = prior_draws("bot-cv", 200, rng, spread)
+        # on a factored basis the filter's S is always a FactoredCov
         B = rng.standard_normal((200, 200))
-        S = B @ B.T / 200**2
+        S = akkf.FactoredCov(B.T / 200, np.eye(200), 1.0 / 200)
+        S_dense = np.asarray(S)
         w = rng.standard_normal(200) / 200
 
         basis = _rebasis(cfg, proposals, particles)
@@ -740,10 +737,10 @@ class TestLowRankRebasis:
         Gamma_low = basis.features.T @ basis.core
         assert_close_normwise(Gamma_low, Gamma, 1e-9)
         assert_close_normwise(np.asarray(basis.spread(0.0)), V, 1e-9)
-        assert_close_normwise(Gamma_low @ S @ Gamma_low.T, Gamma @ S @ Gamma.T, 1e-9)
+        assert_close_normwise(Gamma_low @ S_dense @ Gamma_low.T, Gamma @ S_dense @ Gamma.T, 1e-9)
         w_plus, S_plus = basis.carry(w, S)
         S_plus = np.asarray(S_plus)
-        S_exp = Gamma @ S @ Gamma.T
+        S_exp = Gamma @ S_dense @ Gamma.T
         assert_close_normwise(w_plus, Gamma @ w, 1e-9)
         assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0 + V, 1e-9)
         assert np.array_equal(S_plus, S_plus.T)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo benchmark harness and its CLI."""
 
 import csv
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -86,8 +87,6 @@ class TestScenarioConfig:
             ScenarioConfig("ungm", "pf", 10, 0, 0)
         with pytest.raises(ValueError, match="seed"):
             ScenarioConfig("ungm", "pf", 10, 1, -1)
-        with pytest.raises(ValueError, match="horizon"):
-            ScenarioConfig("ungm", "pf", 10, 1, 0, horizon=0)
 
     def test_known_names_exposed(self):
         assert "ungm" in SCENARIOS
@@ -145,6 +144,29 @@ class TestRunOne:
         assert rec.diverged
 
     @pytest.mark.parametrize(
+        "filt, callback", [("ukf", "process"), ("ukf", "measure"), ("gpf", "process"), ("pf", "process")]
+    )
+    def test_nonfinite_callback_recorded_as_divergence(self, monkeypatch, filt, callback):
+        # the simulation calls the model on one column, the filters on their
+        # ensembles or sigma points, so only the filter sees the inf
+        import kkbench.bench as bench_mod
+
+        def poisoned(name):
+            model = build_model(name)
+            real = getattr(model, callback)
+
+            def blow(X, *args):
+                out = real(X, *args)
+                return out if X.shape[1] == 1 else np.full_like(out, np.inf)
+
+            return dataclasses.replace(model, **{callback: blow})
+
+        monkeypatch.setattr(bench_mod, "build_model", poisoned)
+        rec = run_one(ScenarioConfig("bot-cv", filt, 10, 1, 0), 0)
+        assert rec.diverged
+        assert np.isnan(rec.metric)
+
+    @pytest.mark.parametrize(
         "scenario, filt, poisoned",
         [("bot-cv", "akkf-quartic", "w"), ("bot-ct", "akkf-gaussian", "S")],
     )
@@ -164,7 +186,7 @@ class TestRunOne:
             return w, S
 
         monkeypatch.setattr(akkf_mod, "gain_update", nan_gain_update)
-        cfg = ScenarioConfig(scenario, filt, 5, 1, 0, horizon=3)
+        cfg = ScenarioConfig(scenario, filt, 5, 1, 0)
         rec = run_one(cfg, 0)
         assert rec.diverged
         rc = main(
@@ -175,7 +197,6 @@ class TestRunOne:
                 "--particles", "5",
                 "--realizations", "1",
                 "--seed", "0",
-                "--horizon", "3",
                 "--out", str(tmp_path / "run.csv"),
             ]
         )
@@ -628,7 +649,7 @@ class TestTraceHooks:
             tracer, patches = tracing.Tracer(), tracing.Patches()
             try:
                 tracer.install(kkbench, patches)
-                kkbench.bench.run_one(ScenarioConfig("bot-cv", filt, 10, 1, 0, horizon=3), 0)
+                kkbench.bench.run_one(ScenarioConfig("bot-cv", filt, 10, 1, 0), 0)
             finally:
                 patches.restore()
             spans[filt] = {span[3] for span in tracer.spans}
