@@ -172,8 +172,10 @@ def gain_update(
     if not kappa > 0:
         raise SingularMatrixError("gain system: kappa must be positive")
     U = S_minus @ F
+    W = F.T @ U
+    W.flat[:: len(W) + 1] += kappa
     try:
-        W_inv = np.linalg.inv(kappa * np.eye(F.shape[1]) + F.T @ U)
+        W_inv = np.linalg.inv(W)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("gain system: solve failed") from exc
     rho = g_vec - F @ (F.T @ w_minus)
@@ -262,7 +264,9 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
         Q, shift = ridge_solve(C, lam, name="proposal feature gram")
         P = Q @ F
         P_x = P if particles is proposals else Q @ feature_map(spec, particles)
-        return BasisChange(P_x, (Q @ Q.T) * (-shift / m) - np.eye(len(C)) / m, P)
+        residual = (Q @ Q.T) * (-shift / m)
+        residual.flat[:: len(C) + 1] -= 1.0 / m
+        return BasisChange(P_x, residual, P)
     spec = resolve_bandwidth(spec, proposals)
     K_pp = gram(spec, proposals, proposals)
     # lambda_tilde is relative to the kernel's self-similarity scale, the

@@ -5,9 +5,10 @@ covariances) over particle ensembles.  This module supplies the kernel
 plumbing those representations rest on: Gram matrix assembly, exact
 low-rank factors of Gram matrices (the explicit polynomial feature map and
 a pivoted Cholesky factor that evaluates a Gaussian Gram column by column),
-the inverse Cholesky factor of a ridge regularized Gram, whose jitter
-escalation warns, and the extraction of data-space means and covariances
-from weighted ensembles.
+the inverse Cholesky factor of a ridge regularized Gram, factored and
+inverted by LAPACK in one copy of the Gram, whose jitter escalation warns
+and which reports a non-finite Gram as a singular system, and the
+extraction of data-space means and covariances from weighted ensembles.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve  # noqa: F401  cho_solve: uncalled, kept for tracers
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import cho_solve  # noqa: F401  uncalled, kept for tracers
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.spatial.distance import cdist, pdist
 
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
@@ -37,7 +38,7 @@ RANK_RTOL = 1e-13
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """Ridge system stayed singular after jitter escalation."""
+    """A ridge or gain system stayed singular after jitter escalation, or holds an inf or a nan."""
 
 
 @dataclass(frozen=True)
@@ -170,13 +171,15 @@ def feature_dim(spec: KernelSpec, dim: int) -> int:
 
 @lru_cache(maxsize=None)
 def _monomials(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # the degree-p monomials in dim+1 variables, each as p variable indices,
-    # with the square roots of their multinomial coefficients p!/prod(k_i!)
-    index = np.array(list(itertools.combinations_with_replacement(range(dim + 1), degree)))
+    # the degree-p monomials in dim+1 variables as a p x r table of variable
+    # indices, one contiguous row per factor, with the square roots of their
+    # multinomial coefficients p!/prod(k_i!)
+    combos = list(itertools.combinations_with_replacement(range(dim + 1), degree))
     coef = [
         math.factorial(degree) / math.prod(map(math.factorial, Counter(row).values()))
-        for row in index.tolist()
+        for row in combos
     ]
+    index = np.array(combos).T.copy()
     root = np.sqrt(np.array(coef))
     index.flags.writeable = root.flags.writeable = False
     return index, root
@@ -194,10 +197,12 @@ def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     if spec.kind not in POLY_KINDS:
         raise ValueError("feature map applies to quadratic and quartic kernels")
     index, root = _monomials(E.dim, POLY_DEGREE[spec.kind])
-    z = np.vstack([E.particles, np.full((1, E.count), math.sqrt(spec.c))])
-    phi = root[:, None] * z[index[:, 0]]
-    for k in range(1, index.shape[1]):
-        phi *= z[index[:, k]]
+    z = np.empty((E.dim + 1, E.count))
+    z[:-1] = E.particles
+    z[-1] = math.sqrt(spec.c)
+    phi = root[:, None] * z[index[0]]
+    for row in index[1:]:
+        phi *= z[row]
     return phi
 
 
@@ -240,6 +245,19 @@ def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     return F[:rank].T
 
 
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a by LAPACK ``dpotrf``, zero above the diagonal.
+
+    dpotrf reads a's lower triangle and, when a is Fortran-ordered, writes
+    the factor in a's place.  A matrix that is not positive definite raises
+    :class:`numpy.linalg.LinAlgError`.
+    """
+    factor, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+    return factor
+
+
 def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[np.ndarray, float]:
     """Inverse Cholesky factor Q = L^-1 of the ridge system L L^T = K + shift*I.
 
@@ -249,7 +267,13 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
     many right-hand sides.  ``shift`` is lam, or, when that factorization
     fails, lam plus a jitter of 1e-10*trace(K)/M, escalated tenfold up to
     three times; then a :class:`RuntimeWarning` names the system and the
-    shift.  A system that stays singular raises :class:`SingularMatrixError`.
+    shift.  A system that stays singular, or that holds an inf or a nan,
+    raises :class:`SingularMatrixError`.
+
+    Each attempt factors one Fortran-ordered copy of K + shift*I by
+    :func:`cho_factor` and inverts the factor in place with LAPACK
+    ``dtrtri``.  Q comes back C-ordered, as BLAS sums a product Q @ F in
+    another order for a Fortran-ordered Q.
     """
     values = np.asarray(K, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -257,18 +281,22 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
     if not lam >= 0:
         raise ValueError("ridge parameter must be nonnegative")
     m = values.shape[0]
-    eye = np.eye(m)
-    jitter = 1e-10 * float(np.trace(values)) / m
-    for attempt in range(4):
-        shift = lam if attempt == 0 else lam + jitter * 10.0 ** (attempt - 1)
+    shift = lam
+    for escalation in range(4):
+        a = np.array(values, order="F")
+        a.T.flat[:: m + 1] += shift  # the diagonal, through the C-contiguous transpose
+        if not np.isfinite(a).all():
+            raise SingularMatrixError(f"{name}: ridge system is not finite")
         try:
-            factor = cho_factor(values + shift * eye, lower=True)
+            factor = cho_factor(a)
         except np.linalg.LinAlgError:
+            jitter = 1e-10 * float(np.trace(values)) / m
+            shift = lam + jitter * 10.0**escalation
             continue
-        if attempt:
+        if escalation:
             message = f"{name}: jitter escalated the ridge {lam:.6g} to a shift of {shift:.6g}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-        return np.tril(dtrtri(factor[0], lower=1)[0]), shift
+        return np.ascontiguousarray(dtrtri(factor, lower=1, overwrite_c=1)[0]), shift
     raise SingularMatrixError(f"{name}: ridge system singular after jitter escalation")
 
 

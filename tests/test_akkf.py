@@ -788,6 +788,26 @@ class TestLowRankRebasis:
         assert grams == [(200, 200), (200, 200)]
         assert linalg == [("cho_factor", (200, 200))]
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_ridge_system_raises_before_factoring(self, monkeypatch, bad):
+        linalg = spy_cholesky(monkeypatch)
+        K = np.eye(4)
+        K[2, 1] = bad
+        with pytest.raises(SingularMatrixError, match="proposal feature gram: ridge system is not finite"):
+            kernels.ridge_solve(K, 1e-3, name="proposal feature gram")
+        assert linalg == []
+
+    def test_overflowing_features_raise_singular_matrix_error(self, monkeypatch):
+        # quartic features of states near 1e80 overflow, so the feature Gram
+        # holds infs; the filter sees a singular system, not a bad argument
+        linalg = spy_cholesky(monkeypatch)
+        cfg = AkkfConfig(KernelSpec("quartic"), obs_sigma=1.0, M=40)
+        E = Ensemble(np.linspace(-1e80, 1e80, 40)[None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularMatrixError, match="proposal feature gram"):
+                _rebasis(cfg, E, E)
+        assert linalg == []
+
     @pytest.mark.parametrize("m, factored", [(5, False), (6, True)])
     def test_rank_rule_boundary(self, m, factored):
         # ungm's quadratic kernel has r = 3 features: M=5 (the golden cell)

@@ -202,6 +202,20 @@ class TestRunOne:
         )
         assert rc == 3
 
+    def test_overflowing_feature_gram_recorded_as_divergence(self, tmp_path):
+        # ungm's quartic features overflow on realization 3 at seed 42: the
+        # proposal feature Gram holds infs, which ridge_solve reports as a
+        # singular system, so the run records a divergence and carries on
+        cfg = ScenarioConfig("ungm", "akkf-quartic", 20, 4, 42)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_one(cfg, 3).diverged
+        out = tmp_path / "run.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["run", "--scenario", "ungm", "--filter", "akkf-quartic", "--particles", "20",
+                       "--realizations", "4", "--seed", "42", "--out", str(out)])
+        assert rc == 0
+        assert [rec.diverged for rec in read_run_csv(out)] == [False, False, False, True]
+
 
 class TestFilterContract:
     @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -1,11 +1,16 @@
 """Kernel plumbing: evaluation, Gram assembly, low-rank factors, ridge solves, moment readout."""
 
+import itertools
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg.lapack import dtrtri
 
 from kkbench import (
     Ensemble,
@@ -235,6 +240,33 @@ def test_feature_map_reproduces_gram(kind, d, c, m, scale, seed):
         assert (np.abs(phi_x.T @ phi_y - K) <= 1e-12 * bound).all()
 
 
+def vstack_feature_map(spec, E):
+    """Reference feature map: z = [x; sqrt(c)] by vstack, read through an r x p index table."""
+    p = {"quadratic": 2, "quartic": 4}[spec.kind]
+    index = np.array(list(itertools.combinations_with_replacement(range(E.dim + 1), p)))
+    coef = [math.factorial(p) / math.prod(map(math.factorial, Counter(row).values())) for row in index.tolist()]
+    z = np.vstack([E.particles, np.full((1, E.count), math.sqrt(spec.c))])
+    phi = np.sqrt(np.array(coef))[:, None] * z[index[:, 0]]
+    for k in range(1, p):
+        phi *= z[index[:, k]]
+    return phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("quadratic", "quartic")),
+    d=st.sampled_from((1, 4, 5)),
+    c=st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+    m=st.integers(1, 60),
+    scale=st.sampled_from((1e-3, 1.0, 10.0, 1e3)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_feature_map_bit_identical_to_vstack_form(kind, d, c, m, scale, seed):
+    E = random_ensemble(np.random.default_rng(seed), d, m, scale)
+    spec = KernelSpec(kind, c=c)
+    assert np.array_equal(feature_map(spec, E), vstack_feature_map(spec, E))
+
+
 class TestFeatureMap:
     def test_scalar_quadratic_features(self):
         # (x x' + c)^2 = x^2 x'^2 + 2c x x' + c^2: features x^2, sqrt(2c) x, c
@@ -312,6 +344,39 @@ def assert_whitens(Q, K, shift, tol):
     assert np.abs(whitened - np.eye(len(K))).max() <= tol
 
 
+def wrapper_inverse_factor(K, shift):
+    """L^-1 of K + shift*I through scipy's cho_factor wrapper, np.eye and np.tril."""
+    L = scipy.linalg.cho_factor(K + shift * np.eye(len(K)), lower=True)[0]
+    return np.tril(dtrtri(L, lower=1)[0])
+
+
+def assert_matches_wrapper_path(K, lam):
+    """ridge_solve returns the wrapper path's Q and shift bit for bit, or fails where it fails."""
+    m = len(K)
+    jitter = 1e-10 * float(np.trace(K)) / m
+    shifts = [lam] + [lam + jitter * 10.0**k for k in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            Q, shift = ridge_solve(K, lam)
+        except SingularMatrixError:
+            Q = shift = None
+    for s in shifts:
+        try:
+            expected = wrapper_inverse_factor(K, s)
+        except np.linalg.LinAlgError:
+            continue
+        assert shift == s
+        assert np.array_equal(Q, expected)
+        assert not np.triu(Q, 1).any()
+        # the filter's products with Q too: BLAS sums them in another order
+        # for a Q in another memory layout
+        assert np.array_equal(Q @ K, expected @ K)
+        return shift
+    assert shift is None
+    return None
+
+
 class TestRidgeSolve:
     def test_identity_no_ridge(self):
         Q, shift = ridge_solve(np.eye(3), 0.0)
@@ -367,6 +432,24 @@ class TestRidgeSolve:
         assert shift > 0.0
         assert f"{shift:.6g}" in str(caught[0].message)
         assert_whitens(Q, K, shift, 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(1, 120),
+        rank=st.integers(1, 120),
+        scale=st.floats(1e-3, 1e3),
+        lam=st.one_of(st.just(0.0), st.floats(1e-12, 1e-1)),
+    )
+    def test_lapack_path_matches_wrapper_path(self, seed, m, rank, scale, lam):
+        # PSD K of rank min(rank, m); a rank-deficient K with no ridge escalates jitter
+        A = np.random.default_rng(seed).standard_normal((m, min(rank, m)))
+        assert_matches_wrapper_path(scale * (A @ A.T), lam)
+
+    def test_lapack_path_matches_wrapper_path_after_escalation(self):
+        A = np.random.default_rng(5).standard_normal((30, 4))
+        shift = assert_matches_wrapper_path(A @ A.T, 0.0)
+        assert shift is not None and shift > 0.0
 
 
 @settings(max_examples=25, deadline=None)
