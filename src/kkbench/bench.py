@@ -234,14 +234,17 @@ def sweep(
 ) -> list[tuple[ScenarioConfig, MetricsSummary]]:
     """Cross-product of filters and particle counts, one summary per cell.
 
-    Rows come back ordered by (filter, M) ascending.  Every cell reuses the
-    base seed, so each row matches an individually executed run_mc.  All
-    cells are validated before the first one runs.
+    Rows come back ordered by (filter, M) ascending, one per distinct cell:
+    a filter or count listed twice runs once.  Every cell reuses the base
+    seed, so each row matches an individually executed run_mc.  All cells
+    are validated before the first one runs.
     """
     if not particle_grid or not filters:
         raise ValueError("particle grid and filter list must be nonempty")
     cells = [
-        replace(base, filter=name, M=m) for name in sorted(filters) for m in sorted(particle_grid)
+        replace(base, filter=name, M=m)
+        for name in sorted(set(filters))
+        for m in sorted(set(particle_grid))
     ]
     return [(cfg, run_mc(cfg, workers=workers)[1]) for cfg in cells]
 

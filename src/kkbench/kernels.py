@@ -8,7 +8,10 @@ a pivoted Cholesky factor that evaluates a Gaussian Gram column by column),
 the inverse Cholesky factor of a ridge regularized Gram, factored and
 inverted by LAPACK in one copy of the Gram, whose jitter escalation warns
 and which reports a non-finite Gram as a singular system, and the
-extraction of data-space means and covariances from weighted ensembles.
+Gaussian readout of a weighted ensemble: :func:`weighted_moments`, the
+one weighted-moment readout the GPF and the polynomial AKKF share, and
+:func:`project_moments`, which projects a weight covariance through the
+particles.
 """
 
 from __future__ import annotations
@@ -326,25 +329,23 @@ def psd_root(C: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
-def extract_moments_poly(spec: KernelSpec, E: Ensemble, w: np.ndarray) -> GaussianBelief:
-    """Read mean and covariance off a polynomial-kernel weighted ensemble.
+def weighted_moments(X: np.ndarray, w: np.ndarray) -> GaussianBelief:
+    """Gaussian belief of the weighted particles X (d x M).
 
-    The weighted ensemble carries the moments directly: mean = sum_i w_i x_i
-    and raw second moment sum_i w_i x_i x_i^T, read out without normalizing
-    the weights.  The covariance is the PSD repair of the raw second moment
-    minus the outer product of the mean.  Quartic ensembles use the same
-    degree-two readout; higher-degree features are ignored.
+    mean = X w, and the covariance is the PSD repair of the raw second
+    moment X diag(w) X^T = sum_i w_i x_i x_i^T minus the outer product of
+    the mean; the weights are read as they are, not normalized.  The GPF
+    moment-matches its likelihood weights this way, and the polynomial
+    AKKF reads its belief out of its kernel weights, ignoring a quartic
+    embedding's higher moments.
     """
-    if spec.kind not in POLY_KINDS:
-        raise ValueError("moment readout applies to quadratic and quartic kernels")
     w = np.asarray(w, dtype=float).ravel()
-    if w.size != E.count:
+    if w.size != X.shape[1]:
         raise ValueError("weights must match the particle count")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    P = E.particles
-    mean = P @ w
-    raw = (P * w) @ P.T
+    mean = X @ w
+    raw = (X * w) @ X.T
     return GaussianBelief(mean, psd_repair(raw - np.outer(mean, mean)))
 
 

@@ -22,12 +22,12 @@ from kkbench import (
     KernelSpec,
     SingularMatrixError,
     build_model,
-    extract_moments_poly,
     gain_update,
     gram,
     project_moments,
     resolve_bandwidth,
     simulate,
+    weighted_moments,
 )
 from kkbench import akkf, kernels
 from kkbench.akkf import _rebasis, estimate, init, predict, propose, step, update
@@ -79,6 +79,17 @@ def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
         measurement_noise_cov=var * np.eye(1),
         default_horizon=10,
     )
+
+
+def dense_view(S):
+    """The symmetrized M x M array of a weight covariance, dense or an akkf.FactoredCov."""
+    if not isinstance(S, akkf.FactoredCov):
+        return np.asarray(S)
+    P = S.features
+    out = P.T @ S.core @ P + S.scale * np.eye(P.shape[1])
+    for U, W_inv in S.downdates:
+        out -= U @ W_inv @ U.T
+    return (out + out.T) / 2.0
 
 
 def spy_cholesky(monkeypatch):
@@ -350,7 +361,7 @@ class TestEstimate:
         state = init(model, cfg, np.random.default_rng(9))
         state.w = np.array([0.5, 0.3, 0.2])
         belief = estimate(state)
-        oracle = extract_moments_poly(cfg.state_kernel, state.particles, state.w)
+        oracle = weighted_moments(state.particles.particles, state.w)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
 
@@ -462,11 +473,11 @@ class TestStep:
 
         for n in range(15):
             predict(state, model, rng)
-            assert_symmetric(np.asarray(state.S))
+            assert_symmetric(dense_view(state.S))
             update(state, traj.observations[:, n], model, rng)
-            assert_symmetric(np.asarray(state.S))
+            assert_symmetric(dense_view(state.S))
             propose(state, estimate(state), rng)
-            assert_symmetric(np.asarray(state.S))
+            assert_symmetric(dense_view(state.S))
 
     def test_update_contracts_weight_covariance_trace(self):
         # conditioning on an observation should not inflate the weight
@@ -484,9 +495,9 @@ class TestStep:
         state = init(model, cfg, rng)
         for n in range(30):
             predict(state, model, rng)
-            trace_minus = np.trace(np.asarray(state.S))
+            trace_minus = np.trace(dense_view(state.S))
             update(state, traj.observations[:, n], model, rng)
-            assert np.trace(np.asarray(state.S)) <= trace_minus + 1e-8 * abs(trace_minus)
+            assert np.trace(dense_view(state.S)) <= trace_minus + 1e-8 * abs(trace_minus)
             propose(state, estimate(state), rng)
 
     def test_weights_can_go_negative(self):
@@ -630,7 +641,7 @@ class TestMultistepOracle:
             after_stage(state)
             run_cur = state.particles.particles.copy()
             run_w_plus = state.w.copy()
-            run_S_plus = np.array(state.S)
+            run_S_plus = dense_view(state.S)
             propose(state, estimate(state), rng_run)
             after_stage(state)
 
@@ -648,7 +659,7 @@ class TestMultistepOracle:
             S_plus = S_minus - Q @ G @ S_minus
             S_plus = (S_plus + S_plus.T) / 2.0
 
-            belief = extract_moments_poly(spec_x, Ensemble(cur), w_plus)
+            belief = weighted_moments(cur, w_plus)
             prop = belief.sample(rng_oracle, m)
             if lock_step:
                 prop = state.particles.particles.copy()
@@ -665,7 +676,7 @@ class TestMultistepOracle:
             assert_allclose(run_S_plus, S_plus, rtol=1e-7, atol=1e-10)
             assert_allclose(state.particles.particles, prop, rtol=1e-7, atol=1e-10)
             assert_allclose(state.w, w_t, rtol=1e-6, atol=1e-9)
-            assert_allclose(np.asarray(state.S), S_t, rtol=1e-6, atol=1e-9)
+            assert_allclose(dense_view(state.S), S_t, rtol=1e-6, atol=1e-9)
 
     def test_three_steps_match_dense_replay(self):
         spec_x = KernelSpec("quadratic", c=1.0)
@@ -728,7 +739,7 @@ class TestLowRankRebasis:
         # on a factored basis the filter's S is always a FactoredCov
         B = rng.standard_normal((200, 200))
         S = akkf.FactoredCov(B.T / 200, np.eye(200), 1.0 / 200)
-        S_dense = np.asarray(S)
+        S_dense = dense_view(S)
         w = rng.standard_normal(200) / 200
 
         basis = _rebasis(cfg, proposals, particles)
@@ -736,10 +747,10 @@ class TestLowRankRebasis:
         assert basis.features.shape == (70, 200)
         Gamma_low = basis.features.T @ basis.core
         assert_close_normwise(Gamma_low, Gamma, 1e-9)
-        assert_close_normwise(np.asarray(basis.spread(0.0)), V, 1e-9)
+        assert_close_normwise(dense_view(basis.spread(0.0)), V, 1e-9)
         assert_close_normwise(Gamma_low @ S_dense @ Gamma_low.T, Gamma @ S_dense @ Gamma.T, 1e-9)
         w_plus, S_plus = basis.carry(w, S)
-        S_plus = np.asarray(S_plus)
+        S_plus = dense_view(S_plus)
         S_exp = Gamma @ S_dense @ Gamma.T
         assert_close_normwise(w_plus, Gamma @ w, 1e-9)
         assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0 + V, 1e-9)
@@ -747,7 +758,7 @@ class TestLowRankRebasis:
 
         # init's basis is its own particle set
         _, V_self = dense_rebasis(cfg, proposals, proposals)
-        assert_close_normwise(np.asarray(_rebasis(cfg, proposals, proposals).spread(0.0)), V_self, 1e-9)
+        assert_close_normwise(dense_view(_rebasis(cfg, proposals, proposals).spread(0.0)), V_self, 1e-9)
 
     def test_goes_through_kernels_ridge_solve_and_cho_factor(self, monkeypatch):
         # the r x r factor is the one factorization of the basis, on the
@@ -818,7 +829,7 @@ class TestLowRankRebasis:
         basis = _rebasis(cfg, E, E)
         assert (basis.features is not None) == factored
         _, V = dense_rebasis(cfg, E, E)
-        assert_close_normwise(np.asarray(basis.spread(0.0)), V, 1e-9)
+        assert_close_normwise(dense_view(basis.spread(0.0)), V, 1e-9)
 
 
 # (scenario, M, bandwidth, whether the observation Gram's rank r has 2r <= M)

@@ -324,6 +324,16 @@ class TestSweep:
         _, expected = run_mc(cfg0)
         assert rows[0][1].metric_mean == pytest.approx(expected.metric_mean)
 
+    def test_repeated_filters_and_counts_run_once(self, monkeypatch):
+        import kkbench.bench as bench_mod
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "run_mc", lambda cfg, workers=1: (calls.append(cfg), cfg.M))
+        base = ScenarioConfig("ungm", "pf", 10, 1, 0)
+        rows = sweep(base, [20, 10, 20], ["pf", "pf"])
+        assert [(cfg.filter, cfg.M) for cfg in calls] == [("pf", 10), ("pf", 20)]
+        assert [(cfg.M, summary) for cfg, summary in rows] == [(10, 10), (20, 20)]
+
     def test_empty_grid_rejected(self):
         base = ScenarioConfig("ungm", "pf", 10, 1, 0)
         with pytest.raises(ValueError, match="nonempty"):
@@ -659,7 +669,7 @@ class TestTraceHooks:
 
         tracing = load_tracing()
         spans, layers = {}, {}
-        for filt in ("pf", "gpf", "ukf", "akkf-quartic"):
+        for filt in ("pf", "gpf", "ukf", "akkf-quartic", "akkf-gaussian"):
             tracer, patches = tracing.Tracer(), tracing.Patches()
             try:
                 tracer.install(kkbench, patches)
@@ -672,6 +682,10 @@ class TestTraceHooks:
         assert "baselines.gpf_step" in spans["gpf"]
         assert "baselines.ukf_step" in spans["ukf"]
         assert "akkf.predict" in spans["akkf-quartic"]
+        # the polynomial readout is traced through akkf.extract_moments_poly,
+        # the Gaussian one through akkf.project_moments
+        assert "kernels.readout" in spans["akkf-quartic"]
+        assert "kernels.readout" in spans["akkf-gaussian"]
         assert layers["pf"].isdisjoint({"akkf", "kernels"}), layers["pf"]
 
     def test_ct_noise_root_counters(self):

@@ -18,12 +18,12 @@ from kkbench import (
     KernelSpec,
     SingularMatrixError,
     build_model,
-    extract_moments_poly,
     gram,
     project_moments,
     psd_repair,
     resolve_bandwidth,
     ridge_solve,
+    weighted_moments,
 )
 from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
 
@@ -498,13 +498,13 @@ class TestPsdRepair:
         assert np.linalg.eigvalsh(repaired)[0] >= -1e-15 * np.trace(repaired)
 
 
-def poly_feature_moments(E, w):
+def poly_feature_moments(X, w):
     # explicit monomial features [vec(x x^T); x; 1]: form Phi w and read the
     # degree-1 and degree-2 slots back out
-    d, m = E.particles.shape
+    d, m = X.shape
     features = np.empty((d * d + d + 1, m))
     for i in range(m):
-        x = E.particles[:, i]
+        x = X[:, i]
         features[: d * d, i] = np.outer(x, x).ravel()
         features[d * d : d * d + d, i] = x
         features[-1, i] = 1.0
@@ -515,43 +515,37 @@ def poly_feature_moments(E, w):
 
 
 class TestExtractMomentsPoly:
+    """The one weighted-moment readout, which the polynomial AKKF calls as `akkf.extract_moments_poly`."""
+
     def test_symmetric_pair(self):
-        E = Ensemble(np.array([[-1.0, 1.0]]))
-        belief = extract_moments_poly(KernelSpec("quadratic"), E, np.array([0.5, 0.5]))
+        belief = weighted_moments(np.array([[-1.0, 1.0]]), np.array([0.5, 0.5]))
         assert_allclose(belief.mean, [0.0], atol=1e-15)
         assert_allclose(belief.cov, [[1.0]], rtol=1e-15)
 
     def test_one_hot_is_point_mass(self):
         rng = np.random.default_rng(5)
-        E = random_ensemble(rng, 3, 4)
+        X = rng.standard_normal((3, 4))
         w = np.zeros(4)
         w[2] = 1.0
-        belief = extract_moments_poly(KernelSpec("quartic"), E, w)
-        assert_allclose(belief.mean, E.particles[:, 2], rtol=1e-15)
+        belief = weighted_moments(X, w)
+        assert_allclose(belief.mean, X[:, 2], rtol=1e-15)
         assert_allclose(belief.cov, np.zeros((3, 3)), atol=1e-12)
 
     def test_explicit_feature_oracle_2d(self):
-        E = Ensemble(np.array([[1.0, -0.5, 2.0], [0.0, 1.5, -1.0]]))
+        X = np.array([[1.0, -0.5, 2.0], [0.0, 1.5, -1.0]])
         w = np.array([0.7, 0.5, -0.2])
-        belief = extract_moments_poly(KernelSpec("quadratic"), E, w)
-        mean, raw = poly_feature_moments(E, w)
+        belief = weighted_moments(X, w)
+        mean, raw = poly_feature_moments(X, w)
         assert_allclose(belief.mean, mean, rtol=1e-10)
         assert_allclose(belief.cov, psd_repair(raw - np.outer(mean, mean)), rtol=1e-10)
 
-    def test_gaussian_kind_rejected(self):
-        E = Ensemble(np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError):
-            extract_moments_poly(KernelSpec("gaussian", sigma=1.0), E, np.array([0.5, 0.5]))
-
     def test_weight_length_mismatch(self):
-        E = Ensemble(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            extract_moments_poly(KernelSpec("quadratic"), E, np.array([1.0]))
+            weighted_moments(np.array([[1.0, 2.0]]), np.array([1.0]))
 
     def test_nonfinite_weights(self):
-        E = Ensemble(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            extract_moments_poly(KernelSpec("quadratic"), E, np.array([np.inf, 0.0]))
+            weighted_moments(np.array([[1.0, 2.0]]), np.array([np.inf, 0.0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -559,14 +553,13 @@ class TestExtractMomentsPoly:
     seed=st.integers(0, 2**31 - 1),
     d=st.integers(1, 3),
     m=st.integers(1, 10),
-    kind=st.sampled_from(["quadratic", "quartic"]),
 )
-def test_extract_moments_matches_feature_oracle(seed, d, m, kind):
+def test_extract_moments_matches_feature_oracle(seed, d, m):
     rng = np.random.default_rng(seed)
-    E = random_ensemble(rng, d, m)
+    X = rng.standard_normal((d, m))
     w = rng.standard_normal(m)
-    belief = extract_moments_poly(KernelSpec(kind), E, w)
-    mean, raw = poly_feature_moments(E, w)
+    belief = weighted_moments(X, w)
+    mean, raw = poly_feature_moments(X, w)
     scale = 1.0 + np.abs(mean).max()
     assert_allclose(belief.mean, mean, rtol=1e-10, atol=1e-10 * scale)
     expected_cov = psd_repair(raw - np.outer(mean, mean))
