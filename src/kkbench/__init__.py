@@ -14,8 +14,6 @@ from .akkf import (
 )
 from .baselines import (
     DegenerateWeightsError,
-    GaussianState,
-    PfState,
     gaussian_init,
     gpf_step,
     pf_init,

@@ -125,14 +125,14 @@ class AkkfState:
     ``particles`` after every stage.  After init and propose, ``S`` already
     holds the basis's propagation residual, so predict only moves the
     particles.  On a factored basis ``S`` is a :class:`FactoredCov`,
-    otherwise an M x M array.
+    otherwise an M x M array.  The stages that read the 1-based step
+    index n take it as an argument from the caller's loop.
     """
 
     config: AkkfConfig
     particles: Ensemble
     w: np.ndarray
     S: np.ndarray | FactoredCov
-    n: int = 0
 
 
 def gain_update(
@@ -291,24 +291,26 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     )
 
 
-def predict(state: AkkfState, model: StateSpaceModel, rng: np.random.Generator) -> AkkfState:
-    """Propagate the particles through the process model.
+def predict(
+    state: AkkfState, n: int, model: StateSpaceModel, rng: np.random.Generator
+) -> AkkfState:
+    """Propagate the particles through the process model to step n (1-based).
 
     The weights carry over unchanged: init and propose already charged the
     basis's propagation residual to ``S``.
     """
-    n = state.n + 1
     noise = model.sample_process_noise(rng, state.particles.count)
     columns = model.process(state.particles.particles, noise, n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "propagated particle")
     state.particles = Ensemble(columns)
-    state.n = n
     return state
 
 
-def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generator) -> AkkfState:
-    """Condition the weights on one observation.
+def update(
+    state: AkkfState, n: int, y_n, model: StateSpaceModel, rng: np.random.Generator
+) -> AkkfState:
+    """Condition the weights on the observation y_n of step n.
 
     Observation particles are generated through the measurement model with
     fresh noise draws.  Under the fixed observation bandwidth, their Gram is
@@ -320,7 +322,7 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     noise = model.sample_measurement_noise(rng, particles.count)
     columns = model.measure(particles.particles, noise)
     if not np.isfinite(columns).all():
-        raise FilterDivergedError(state.n, "observation particle")
+        raise FilterDivergedError(n, "observation particle")
     obs = Ensemble(columns)
     spec = KernelSpec("gaussian", sigma=cfg.obs_sigma)
     g_vec = gram(spec, obs, Ensemble(np.reshape(y_n, (-1, 1))))[:, 0]
@@ -329,8 +331,8 @@ def update(state: AkkfState, y_n, model: StateSpaceModel, rng: np.random.Generat
     return state
 
 
-def estimate(state: AkkfState) -> GaussianBelief:
-    """Read the posterior belief out of the updated weights.
+def estimate(state: AkkfState, n: int) -> GaussianBelief:
+    """Read the posterior belief of step n out of the updated weights.
 
     Polynomial feature spaces carry the first two moments in the embedding
     itself; other kernels project the weight-space moments onto particles.
@@ -342,7 +344,7 @@ def estimate(state: AkkfState) -> GaussianBelief:
             return extract_moments_poly(state.particles.particles, state.w)
         return project_moments(state.particles, state.w, state.S)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        raise FilterDivergedError(state.n, "belief moments") from exc
+        raise FilterDivergedError(n, "belief moments") from exc
 
 
 def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) -> AkkfState:
@@ -362,14 +364,15 @@ def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) 
 
 def step(
     state: AkkfState,
+    n: int,
     y_n,
     model: StateSpaceModel,
     rng: np.random.Generator,
 ) -> tuple[AkkfState, GaussianBelief]:
-    """One full filter cycle; returns the belief formed after the update."""
-    predict(state, model, rng)
-    update(state, y_n, model, rng)
-    belief = estimate(state)
+    """Filter cycle n (1-based); returns the belief formed after the update."""
+    predict(state, n, model, rng)
+    update(state, n, y_n, model, rng)
+    belief = estimate(state, n)
     propose(state, belief, rng)
     return state, belief
 

@@ -21,27 +21,11 @@ class DegenerateWeightsError(RuntimeError):
     """Every particle received zero likelihood."""
 
 
-@dataclass
-class PfState:
-    """Bootstrap particle filter state; resampled every step, so uniformly weighted."""
-
-    particles: Ensemble
-    n: int = 0
-
-
 @dataclass(frozen=True)
 class ParticleBelief:
     """The PF's belief at one step: the weighted mean of its particles before resampling."""
 
     mean: np.ndarray
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """GPF and UKF state: the Gaussian belief after step ``n``."""
-
-    belief: GaussianBelief
-    n: int = 0
 
 
 # Unscented transform scaling: spread alpha, prior-knowledge beta (2 is
@@ -51,14 +35,14 @@ UKF_BETA = 2.0
 UKF_KAPPA = 0.0
 
 
-def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> PfState:
-    """Draw M prior particles."""
-    return PfState(Ensemble(model.sample_prior(rng, M)))
+def pf_init(model: StateSpaceModel, M: int, rng: np.random.Generator) -> Ensemble:
+    """The PF's state before step 1: M prior particles."""
+    return Ensemble(model.sample_prior(rng, M))
 
 
-def gaussian_init(model: StateSpaceModel) -> GaussianState:
+def gaussian_init(model: StateSpaceModel) -> GaussianBelief:
     """The GPF's and the UKF's state before step 1: the prior."""
-    return GaussianState(GaussianBelief(model.prior_mean, model.prior_cov))
+    return GaussianBelief(model.prior_mean, model.prior_cov)
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -80,44 +64,43 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
 
 
 def pf_step(
-    state: PfState, y_n, model: StateSpaceModel, rng: np.random.Generator
-) -> tuple[PfState, ParticleBelief]:
-    """Bootstrap step: propagate, likelihood-weight, resample.
+    particles: Ensemble, n: int, y_n, model: StateSpaceModel, rng: np.random.Generator
+) -> tuple[Ensemble, ParticleBelief]:
+    """Bootstrap step n (1-based): propagate, likelihood-weight, resample.
 
-    The belief is the weighted mean before resampling; resampling runs
-    every step and resets the weights to uniform.
+    The state is the particle ensemble, uniformly weighted because
+    resampling runs every step.  The belief is the weighted mean before
+    resampling.
     """
-    m = state.particles.count
-    n = state.n + 1
+    m = particles.count
     noise = model.sample_process_noise(rng, m)
-    columns = model.process(state.particles.particles, noise, n)
+    columns = model.process(particles.particles, noise, n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     # log(1/m), the uniform weight, cancels in the normalization but sets its rounding
     weights = _normalize_log_weights(log_lik + np.log(1.0 / m))
     indices = systematic_resample(weights, rng)
-    resampled = PfState(Ensemble(np.take(columns, indices, axis=1)), n)
-    return resampled, ParticleBelief(columns @ weights)
+    return Ensemble(np.take(columns, indices, axis=1)), ParticleBelief(columns @ weights)
 
 
 def gpf_step(
-    state: GaussianState, y_n, model: StateSpaceModel, rng: np.random.Generator, M: int
-) -> tuple[GaussianState, GaussianBelief]:
-    """Gaussian particle filter step.
+    belief: GaussianBelief, n: int, y_n, model: StateSpaceModel, rng: np.random.Generator, M: int
+) -> tuple[GaussianBelief, GaussianBelief]:
+    """Gaussian particle filter step n (1-based); the state is the belief.
 
     Draws M particles from the belief, propagates them with process noise,
     weights by the observation likelihood, and moment-matches a new
-    Gaussian; no resampling is involved.
+    Gaussian, returned as both the next state and the belief; no
+    resampling is involved.
     """
-    n = state.n + 1
-    draws = state.belief.sample(rng, M)
+    draws = belief.sample(rng, M)
     columns = model.process(draws, model.sample_process_noise(rng, M), n)
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
-    belief = weighted_moments(columns, _normalize_log_weights(log_lik))
-    return GaussianState(belief, n), belief
+    posterior = weighted_moments(columns, _normalize_log_weights(log_lik))
+    return posterior, posterior
 
 
 def _sigma_points(belief: GaussianBelief, alpha: float, kappa: float):
@@ -141,9 +124,12 @@ def _sigma_weights(d: int, lam: float, alpha: float, beta: float):
 
 
 def ukf_step(
-    state: GaussianState, y_n, model: StateSpaceModel, rng: np.random.Generator
-) -> tuple[GaussianState, GaussianBelief]:
-    """Additive-noise unscented update with 2d+1 sigma points; ``rng`` goes unused.
+    belief: GaussianBelief, n: int, y_n, model: StateSpaceModel, rng: np.random.Generator
+) -> tuple[GaussianBelief, GaussianBelief]:
+    """Additive-noise unscented step n (1-based) with 2d+1 sigma points; ``rng`` goes unused.
+
+    The state is the belief, and the posterior is returned as both the next
+    state and the belief.
 
     Observation residuals pass through the model's wrap function when one is
     defined, so bearing innovations stay in (-pi, pi].  A non-finite
@@ -151,7 +137,6 @@ def ukf_step(
     A posterior covariance that comes out indefinite is PSD-repaired, with a
     warning.
     """
-    n, belief = state.n + 1, state.belief
     d = model.state_dim
     wrap = model.wrap_residual or (lambda r: r)
     zero_u = np.zeros((model.process_noise_dim, 2 * d + 1))
@@ -184,4 +169,4 @@ def ukf_step(
     if not np.array_equal(cov_repaired, (cov_new + cov_new.T) / 2.0):
         warnings.warn("unscented update produced a non-PSD covariance; repairing")
     posterior = GaussianBelief(mean_new, cov_repaired)
-    return GaussianState(posterior, n), posterior
+    return posterior, posterior

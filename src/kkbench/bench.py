@@ -27,11 +27,11 @@ from .baselines import (
     pf_step,
     ukf_step,
 )
-from .kernels import KernelSpec, SingularMatrixError
+from .kernels import KERNEL_KINDS, KernelSpec, SingularMatrixError
 from .models import MODEL_BUILDERS, SimulationDivergedError, build_model, simulate
 
 SCENARIOS = tuple(MODEL_BUILDERS)
-FILTERS = ("akkf-quadratic", "akkf-quartic", "akkf-gaussian", "pf", "gpf", "ukf")
+FILTERS = (*(f"akkf-{kind}" for kind in KERNEL_KINDS), "pf", "gpf", "ukf")
 
 RUN_HEADER = ["scenario", "filter", "particles", "realization", "metric", "runtime_s", "diverged"]
 SUMMARY_HEADER = [
@@ -143,7 +143,9 @@ def _akkf_config(cfg: ScenarioConfig) -> AkkfConfig:
 def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.ndarray:
     """Run the configured filter over an observation matrix; returns the d_x x N belief means.
 
-    Each filter's step is looked up by name here, so a wrapper set on the name takes effect.
+    Every filter is an init and a ``step(state, n, y_n, model, rng)`` that returns
+    ``(state, belief)``; this loop owns the 1-based step index n.  Each filter's
+    step is looked up by name here, so a wrapper set on the name takes effect.
     """
     if cfg.filter.startswith("akkf"):
         state, step = akkf.init(model, _akkf_config(cfg), rng), akkf.step
@@ -153,9 +155,9 @@ def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.
         state = gaussian_init(model)
         step = partial(gpf_step, M=cfg.M) if cfg.filter == "gpf" else ukf_step
     estimates = np.empty((model.state_dim, observations.shape[1]))
-    for n in range(observations.shape[1]):
-        state, belief = step(state, observations[:, n], model, rng)
-        estimates[:, n] = belief.mean
+    for n, y_n in enumerate(observations.T, start=1):
+        state, belief = step(state, n, y_n, model, rng)
+        estimates[:, n - 1] = belief.mean
     return estimates
 
 

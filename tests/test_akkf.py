@@ -39,9 +39,9 @@ def belief_means(model, cfg, observations, rng):
     """The harness's loop (`bench.run_filter`) over the AKKF: init, then one step per column."""
     state = init(model, cfg, rng)
     means = np.empty((model.state_dim, observations.shape[1]))
-    for n in range(observations.shape[1]):
-        state, belief = step(state, observations[:, n], model, rng)
-        means[:, n] = belief.mean
+    for n, y_n in enumerate(observations.T, start=1):
+        state, belief = step(state, n, y_n, model, rng)
+        means[:, n - 1] = belief.mean
     return means
 
 
@@ -223,12 +223,11 @@ class TestInit:
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=6)
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(0))
-        assert state.n == 0
         assert state.particles.count == 6
         assert_allclose(state.w, np.full(6, 1.0 / 6.0))
         V = _rebasis(cfg, state.particles, state.particles).spread(0.0)
         assert_allclose(state.S, np.eye(6) / 6.0 + V)
-        assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S", "n"]
+        assert [f.name for f in dataclasses.fields(state)] == ["config", "particles", "w", "S"]
 
     def test_one_gram_and_one_factor(self, monkeypatch):
         # the prior draws are their own basis, so init needs the self-Gram
@@ -281,7 +280,7 @@ class TestPredict:
 
         rng_run = np.random.default_rng(10)
         rng_oracle = np.random.default_rng(10)
-        predict(state, model, rng_run)
+        predict(state, 1, model, rng_run)
 
         noise = model.sample_process_noise(rng_oracle, 5)
         expected_particles = proposals + noise
@@ -289,7 +288,6 @@ class TestPredict:
         lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
         T = np.linalg.inv(K + lam * np.eye(5)) @ K
         R = T - np.eye(5)
-        assert state.n == 1
         assert_allclose(state.particles.particles, expected_particles, rtol=1e-12)
         assert np.array_equal(state.w, w_tilde)
         assert np.array_equal(state.S, S_tilde)
@@ -317,8 +315,8 @@ class TestPredict:
         rng = np.random.default_rng(6)
         state = init(blow, cfg, rng)
         with pytest.raises(FilterDivergedError) as err:
-            predict(state, blow, rng)
-        assert err.value.time_index == 1
+            predict(state, 3, blow, rng)
+        assert err.value.time_index == 3
 
 
 class TestUpdate:
@@ -332,7 +330,7 @@ class TestUpdate:
         )
         rng = np.random.default_rng(7)
         state = init(model, cfg, rng)
-        predict(state, model, rng)
+        predict(state, 1, model, rng)
         w_minus = state.w.copy()
         S_minus = state.S.copy()
         particles = state.particles.particles.copy()
@@ -340,7 +338,7 @@ class TestUpdate:
         rng_run = np.random.default_rng(20)
         rng_oracle = np.random.default_rng(20)
         y = np.array([0.3])
-        update(state, y, model, rng_run)
+        update(state, 1, y, model, rng_run)
 
         noise = model.sample_measurement_noise(rng_oracle, 5)
         obs = particles + noise
@@ -360,7 +358,7 @@ class TestEstimate:
         model = identity_model()
         state = init(model, cfg, np.random.default_rng(9))
         state.w = np.array([0.5, 0.3, 0.2])
-        belief = estimate(state)
+        belief = estimate(state, 1)
         oracle = weighted_moments(state.particles.particles, state.w)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
@@ -371,7 +369,7 @@ class TestEstimate:
         state = init(model, cfg, np.random.default_rng(10))
         state.w = np.array([0.6, 0.3, 0.1])
         state.S = np.diag([0.02, 0.01, 0.03])
-        belief = estimate(state)
+        belief = estimate(state, 1)
         oracle = project_moments(state.particles, state.w, state.S)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
@@ -382,13 +380,12 @@ class TestEstimate:
     def test_nonfinite_moments_diverge(self, kind, poisoned):
         cfg = AkkfConfig(KernelSpec(kind), obs_sigma=1.0, M=3)
         state = init(identity_model(), cfg, np.random.default_rng(10))
-        state.n = 4
         if poisoned == "w":
             state.w = np.array([0.6, np.nan, 0.1])
         else:
             state.S = np.full((3, 3), np.nan)
         with pytest.raises(FilterDivergedError, match="belief moments") as err:
-            estimate(state)
+            estimate(state, 4)
         assert err.value.time_index == 4
 
 
@@ -404,7 +401,7 @@ class TestPropose:
         particles = state.particles
         preset = np.array([[0.5, -0.2, 1.1, 0.7]])
         monkeypatch.setattr(GaussianBelief, "sample", lambda self, rng, count: preset)
-        propose(state, estimate(state), rng)
+        propose(state, estimate(state, 1), rng)
 
         spec = KernelSpec("gaussian", sigma=1.2)
         K_pp = gram(spec, Ensemble(preset), Ensemble(preset))
@@ -432,7 +429,7 @@ class TestPropose:
             GaussianBelief, "sample", lambda self, rng, count: state.particles.particles
         )
         mean_before = state.particles.particles @ state.w
-        propose(state, estimate(state), rng)
+        propose(state, estimate(state, 1), rng)
         assert_allclose(state.S, S_before, atol=1e-6)
         assert_allclose(state.w, w_before, atol=1e-6)
         assert_allclose(state.particles.particles @ state.w, mean_before, atol=1e-6)
@@ -455,29 +452,37 @@ class TestStep:
         assert np.array_equal(est1, est2)
 
     def test_covariances_stay_symmetric(self):
-        model = build_model("ungm")
-        cfg = AkkfConfig(
-            KernelSpec("quadratic", c=1.0),
-            obs_sigma=6.0,
-            M=8,
-            lambda_tilde=1e-2,
-            kappa=1e-2,
-        )
-        rng = np.random.default_rng(14)
-        traj = simulate(model, 15, rng)
-        state = init(model, cfg, rng)
-
+        # checks the stored S, not a symmetrized view of it.  ungm quadratic
+        # at M=8 (r = 3) keeps S factored: the core is symmetrized exactly,
+        # while each downdate's W^-1 inverts a W = F^T (S F) that is formed
+        # symmetric only to rounding.  The Gaussian kernel keeps S dense and
+        # symmetrizes it at every stage.
         def assert_symmetric(S):
-            scale = 1.0 + np.abs(S).max()
-            assert np.abs(S - S.T).max() <= 1e-12 * scale
+            if not isinstance(S, akkf.FactoredCov):
+                assert np.array_equal(S, S.T)
+                return
+            assert np.array_equal(S.core, S.core.T)
+            for _, W_inv in S.downdates:
+                scale = 1.0 + np.abs(W_inv).max()
+                assert np.abs(W_inv - W_inv.T).max() <= 1e-12 * scale
 
-        for n in range(15):
-            predict(state, model, rng)
-            assert_symmetric(dense_view(state.S))
-            update(state, traj.observations[:, n], model, rng)
-            assert_symmetric(dense_view(state.S))
-            propose(state, estimate(state), rng)
-            assert_symmetric(dense_view(state.S))
+        model = build_model("ungm")
+        for kind in ("quadratic", "gaussian"):
+            cfg = AkkfConfig(
+                KernelSpec(kind, c=1.0), obs_sigma=6.0, M=8, lambda_tilde=1e-2, kappa=1e-2
+            )
+            rng = np.random.default_rng(14)
+            traj = simulate(model, 15, rng)
+            state = init(model, cfg, rng)
+            assert isinstance(state.S, akkf.FactoredCov) == (kind == "quadratic")
+            assert_symmetric(state.S)
+            for n, y_n in enumerate(traj.observations.T, start=1):
+                predict(state, n, model, rng)
+                assert_symmetric(state.S)
+                update(state, n, y_n, model, rng)
+                assert_symmetric(state.S)
+                propose(state, estimate(state, n), rng)
+                assert_symmetric(state.S)
 
     def test_update_contracts_weight_covariance_trace(self):
         # conditioning on an observation should not inflate the weight
@@ -493,12 +498,12 @@ class TestStep:
         rng = np.random.default_rng(11)
         traj = simulate(model, 30, rng)
         state = init(model, cfg, rng)
-        for n in range(30):
-            predict(state, model, rng)
+        for n, y_n in enumerate(traj.observations.T, start=1):
+            predict(state, n, model, rng)
             trace_minus = np.trace(dense_view(state.S))
-            update(state, traj.observations[:, n], model, rng)
+            update(state, n, y_n, model, rng)
             assert np.trace(dense_view(state.S)) <= trace_minus + 1e-8 * abs(trace_minus)
-            propose(state, estimate(state), rng)
+            propose(state, estimate(state, n), rng)
 
     def test_weights_can_go_negative(self):
         # kernel weight vectors are not probability weights; a canned
@@ -515,11 +520,11 @@ class TestStep:
         traj = simulate(model, 10, rng)
         state = init(model, cfg, rng)
         min_weight = np.inf
-        for n in range(10):
-            predict(state, model, rng)
-            update(state, traj.observations[:, n], model, rng)
+        for n, y_n in enumerate(traj.observations.T, start=1):
+            predict(state, n, model, rng)
+            update(state, n, y_n, model, rng)
             min_weight = min(min_weight, state.w.min())
-            propose(state, estimate(state), rng)
+            propose(state, estimate(state, n), rng)
         assert min_weight < 0.0
 
     def test_tracks_identity_model(self):
@@ -545,12 +550,12 @@ class TestStep:
         )
         rng = np.random.default_rng(7)
         state = init(model, cfg, rng)
-        predict(state, model, rng)
+        predict(state, 1, model, rng)
         predicted = state.particles.particles.copy()
-        update(state, np.array([1.5]), model, rng)
+        update(state, 1, np.array([1.5]), model, rng)
         w_plus = state.w.copy()
         S_plus = state.S.copy()
-        belief = estimate(state)
+        belief = estimate(state, 1)
         propose(state, belief, rng)
         assert_allclose(
             predicted[0],
@@ -584,12 +589,12 @@ class TestStep:
         y = np.array([0.5])
         rng = np.random.default_rng(15)
         state = init(model, cfg, rng)
-        state, belief = step(state, y, model, rng)
+        state, belief = step(state, 1, y, model, rng)
         twin_rng = np.random.default_rng(15)
         twin = init(model, cfg, twin_rng)
-        predict(twin, model, twin_rng)
-        update(twin, y, model, twin_rng)
-        oracle = estimate(twin)
+        predict(twin, 1, model, twin_rng)
+        update(twin, 1, y, model, twin_rng)
+        oracle = estimate(twin, 1)
         assert_allclose(belief.mean, oracle.mean)
         assert_allclose(belief.cov, oracle.cov)
 
@@ -636,13 +641,13 @@ class TestMultistepOracle:
         S_t = np.eye(m) / m + residual_cov(prop)
 
         for n in range(ys.shape[1]):
-            predict(state, model, rng_run)
-            update(state, ys[:, n], model, rng_run)
+            predict(state, n + 1, model, rng_run)
+            update(state, n + 1, ys[:, n], model, rng_run)
             after_stage(state)
             run_cur = state.particles.particles.copy()
             run_w_plus = state.w.copy()
             run_S_plus = dense_view(state.S)
-            propose(state, estimate(state), rng_run)
+            propose(state, estimate(state, n + 1), rng_run)
             after_stage(state)
 
             noise = model.sample_process_noise(rng_oracle, m)
@@ -898,10 +903,10 @@ class TestFactoredStepMemory:
         rng = np.random.default_rng(5)
         ys = simulate(model, 2, rng).observations
         state = init(model, AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=m), rng)
-        state, _ = step(state, ys[:, 0], model, rng)
+        state, _ = step(state, 1, ys[:, 0], model, rng)
         tracemalloc.start()
         try:
-            step(state, ys[:, 1], model, rng)
+            step(state, 2, ys[:, 1], model, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

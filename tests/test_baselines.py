@@ -15,8 +15,8 @@ from numpy.testing import assert_allclose
 
 from kkbench import (
     DegenerateWeightsError,
+    Ensemble,
     GaussianBelief,
-    GaussianState,
     gaussian_init,
     gpf_step,
     pf_init,
@@ -144,17 +144,16 @@ class TestPf:
     def test_init_uniform(self):
         model = linear_model()
         state = pf_init(model, 8, np.random.default_rng(0))
-        assert state.particles.count == 8
-        assert state.n == 0
-        assert [f.name for f in dataclasses.fields(state)] == ["particles", "n"]
+        assert isinstance(state, Ensemble)
+        assert state.count == 8
 
     def test_tracks_kalman_oracle(self):
         model = linear_model()
         rng = np.random.default_rng(4)
         state = pf_init(model, 20000, rng)
         means = []
-        for y in YS:
-            state, belief = pf_step(state, np.array([y]), model, rng)
+        for n, y in enumerate(YS, start=1):
+            state, belief = pf_step(state, n, np.array([y]), model, rng)
             means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, atol=0.05)
 
@@ -168,52 +167,51 @@ class TestPf:
         )
         rng = np.random.default_rng(5)
         state = pf_init(zero_noise, 10, rng)
-        before = state.particles.particles.copy()
-        _, belief = pf_step(state, np.array([0.0]), zero_noise, rng)
+        before = state.particles.copy()
+        _, belief = pf_step(state, 1, np.array([0.0]), zero_noise, rng)
         assert_allclose(belief.mean, before.mean(axis=1), rtol=1e-12)
 
     def test_single_particle(self):
         model = linear_model()
         rng = np.random.default_rng(6)
         state = pf_init(model, 1, rng)
-        state, belief = pf_step(state, np.array([1.0]), model, rng)
+        state, belief = pf_step(state, 1, np.array([1.0]), model, rng)
         assert belief.mean.shape == (1,)
-        assert state.particles.count == 1
+        assert state.count == 1
 
     def test_vanished_likelihoods_raise(self):
         model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], -np.inf))
         rng = np.random.default_rng(7)
         state = pf_init(model, 5, rng)
         with pytest.raises(DegenerateWeightsError):
-            pf_step(state, np.array([0.0]), model, rng)
+            pf_step(state, 1, np.array([0.0]), model, rng)
 
     def test_resampling_resets_weights(self):
         model = linear_model()
         rng = np.random.default_rng(8)
         state = pf_init(model, 12, rng)
-        state, _ = pf_step(state, np.array([1.0]), model, rng)
-        assert state.particles.count == 12
-        assert state.n == 1
+        state, _ = pf_step(state, 1, np.array([1.0]), model, rng)
+        assert state.count == 12
 
     def test_bearing_step_replays_the_mod_wrap_and_fancy_gather(self):
         # y near -pi, so most bearing residuals lie outside (-pi, pi] and wrap
         model, y, m = bot_cv(), np.array([-3.0]), 64
         state = pf_init(model, m, np.random.default_rng(9))
-        got, got_belief = pf_step(state, y, model, np.random.default_rng(10))
+        got, got_belief = pf_step(state, 1, y, model, np.random.default_rng(10))
 
         def mod_wrap(delta):
             return math.pi - np.mod(math.pi - delta, 2 * math.pi)
 
         law = _measurement_law(lambda X: bearing(X[0], X[2]), BOT_MEASUREMENT_STD, mod_wrap)
         rng = np.random.default_rng(10)
-        columns = model.process(state.particles.particles, model.sample_process_noise(rng, m), 1)
+        columns = model.process(state.particles, model.sample_process_noise(rng, m), 1)
         assert np.sum(np.abs(y[0] - bearing(columns[0], columns[2])) > math.pi) > m // 2
         weights = _normalize_log_weights(
             law["measurement_log_likelihood"](y, columns) + np.log(1.0 / m)
         )
         indices = systematic_resample(weights, rng)
         assert np.array_equal(got_belief.mean, columns @ weights)
-        assert np.array_equal(got.particles.particles, columns[:, indices])
+        assert np.array_equal(got.particles, columns[:, indices])
 
 
 class TestGpf:
@@ -222,8 +220,8 @@ class TestGpf:
         rng = np.random.default_rng(9)
         state = gaussian_init(model)
         means = []
-        for y in YS:
-            state, belief = gpf_step(state, np.array([y]), model, rng, 20000)
+        for n, y in enumerate(YS, start=1):
+            state, belief = gpf_step(state, n, np.array([y]), model, rng, 20000)
             means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, atol=0.05)
 
@@ -235,8 +233,8 @@ class TestGpf:
                 "sample_process_noise": lambda rng, count: np.zeros((1, count)),
             }
         )
-        state = GaussianState(GaussianBelief(np.array([0.7]), np.zeros((1, 1))))
-        _, out = gpf_step(state, np.array([0.0]), frozen, np.random.default_rng(10), 50)
+        state = GaussianBelief(np.array([0.7]), np.zeros((1, 1)))
+        _, out = gpf_step(state, 1, np.array([0.0]), frozen, np.random.default_rng(10), 50)
         assert_allclose(out.mean, [0.7], rtol=1e-12)
         assert_allclose(out.cov, [[0.0]], atol=1e-15)
 
@@ -245,7 +243,7 @@ class TestGpf:
         rng_run = np.random.default_rng(11)
         rng_oracle = np.random.default_rng(11)
         belief = GaussianBelief(np.array([0.0]), np.eye(1))
-        _, out = gpf_step(GaussianState(belief), np.array([0.0]), model, rng_run, 200)
+        _, out = gpf_step(belief, 1, np.array([0.0]), model, rng_run, 200)
         draws = belief.sample(rng_oracle, 200)
         noise = model.sample_process_noise(rng_oracle, 200)
         columns = 0.9 * draws + noise
@@ -254,9 +252,9 @@ class TestGpf:
 
     def test_vanished_likelihoods_raise(self):
         model = linear_model(log_likelihood=lambda y, x: np.full(x.shape[1], -np.inf))
-        state = GaussianState(GaussianBelief(np.array([0.0]), np.eye(1)))
+        state = GaussianBelief(np.array([0.0]), np.eye(1))
         with pytest.raises(DegenerateWeightsError):
-            gpf_step(state, np.array([0.0]), model, np.random.default_rng(12), 20)
+            gpf_step(state, 1, np.array([0.0]), model, np.random.default_rng(12), 20)
 
 
 class TestUkf:
@@ -304,14 +302,14 @@ class TestUkf:
         model = linear_model()
         state = gaussian_init(model)
         means = []
-        for y in YS:
-            state, belief = ukf_step(state, np.array([y]), model, None)
+        for n, y in enumerate(YS, start=1):
+            state, belief = ukf_step(state, n, np.array([y]), model, None)
             means.append(belief.mean[0])
         assert_allclose(means, KF_MEANS, rtol=1e-8)
 
     def test_posterior_covariance_matches_kalman(self):
         model = linear_model()
-        _, belief = ukf_step(gaussian_init(model), np.array([1.2]), model, None)
+        _, belief = ukf_step(gaussian_init(model), 1, np.array([1.2]), model, None)
         p_pred = 0.81 * 1.0 + 0.25
         p_post = p_pred * (1.0 - p_pred / (p_pred + 0.25))
         assert belief.cov[0, 0] == pytest.approx(p_post, rel=1e-8)
@@ -320,17 +318,17 @@ class TestUkf:
         # the rng is in the signature only so that every filter steps alike
         model, rng = linear_model(), np.random.default_rng(3)
         before = rng.bit_generator.state
-        state, _ = ukf_step(gaussian_init(model), np.array([1.2]), model, rng)
-        assert state.n == 1
+        state, belief = ukf_step(gaussian_init(model), 1, np.array([1.2]), model, rng)
+        assert state is belief
         assert rng.bit_generator.state == before
 
     def test_wrapped_innovation_pulls_the_short_way(self):
         # an observation one full turn up minus a small angle must correct
         # the mean downward once residual wrapping is active
         model = linear_model(a=1.0, wrap_residual=wrap_angle)
-        state = GaussianState(GaussianBelief(np.zeros(1), 0.01 * np.eye(1)))
+        state = GaussianBelief(np.zeros(1), 0.01 * np.eye(1))
         y = np.array([2.0 * np.pi - 0.1])
-        _, out = ukf_step(state, y, model, None)
+        _, out = ukf_step(state, 1, y, model, None)
         assert out.mean[0] < 0.0
 
     def test_warns_exactly_when_repair_clips(self):
@@ -338,13 +336,13 @@ class TestUkf:
         # update: P - P^2 / (P + R) < 0, which the repair clips to zero
         model = dataclasses.replace(linear_model(), measurement_noise_cov=np.array([[-0.2]]))
         with pytest.warns(UserWarning, match="non-PSD covariance"):
-            _, out = ukf_step(gaussian_init(model), np.array([1.2]), model, None)
+            _, out = ukf_step(gaussian_init(model), 1, np.array([1.2]), model, None)
         assert out.cov[0, 0] == 0.0
         # the linear-Gaussian update stays PSD and passes unrepaired
         model = linear_model()
         state = gaussian_init(model)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for y in YS:
-                state, _ = ukf_step(state, np.array([y]), model, None)
+            for n, y in enumerate(YS, start=1):
+                state, _ = ukf_step(state, n, np.array([y]), model, None)
 

@@ -221,17 +221,18 @@ class TestFilterContract:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("filt", FILTERS)
     def test_step_advances_n_and_returns_a_finite_mean(self, monkeypatch, filt, scenario):
-        # every step run_filter calls: (state, y_n, model, rng) -> (state, belief)
+        # every step run_filter calls: (state, n, y_n, model, rng) -> (state, belief),
+        # with n = 1, 2, 3 from the loop; each process call made during step n reads n
         import kkbench.akkf as akkf_mod
         import kkbench.bench as bench_mod
 
-        steps = []
+        steps, process_ns = [], []
 
         def checked(step):
-            def wrapper(state, y_n, model, rng, **bound):
-                before = state.n
-                state, belief = step(state, y_n, model, rng, **bound)
-                steps.append((state.n - before, belief.mean))
+            def wrapper(state, n, y_n, model, rng, **bound):
+                process_ns.append([])
+                state, belief = step(state, n, y_n, model, rng, **bound)
+                steps.append((n, belief.mean))
                 return state, belief
 
             return wrapper
@@ -242,12 +243,21 @@ class TestFilterContract:
         model = build_model(scenario, 3)
         rng = realization_rng(0, 0)
         observations = simulate(model, model.default_horizon, rng).observations
+
+        real_process = model.process
+
+        def spy_process(X, noise, n):
+            process_ns[-1].append(n)
+            return real_process(X, noise, n)
+
+        model = dataclasses.replace(model, process=spy_process)
         estimates = run_filter(ScenarioConfig(scenario, filt, 10, 1, 0), model, observations, rng)
-        assert [advance for advance, _ in steps] == [1, 1, 1]
-        for n, (_, mean) in enumerate(steps):
+        assert [n for n, _ in steps] == [1, 2, 3]
+        assert [set(ns) for ns in process_ns] == [{1}, {2}, {3}]
+        for n, mean in steps:
             assert mean.shape == (model.state_dim,)
             assert np.isfinite(mean).all()
-            assert np.array_equal(estimates[:, n], mean)
+            assert np.array_equal(estimates[:, n - 1], mean)
 
 
 class TestSummarize:
