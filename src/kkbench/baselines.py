@@ -46,21 +46,34 @@ def gaussian_init(model: StateSpaceModel) -> GaussianBelief:
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling; returns the selected particle indices."""
+    """Systematic resampling; returns the selected particle indices.
+
+    Position j goes to the first particle whose cumulative weight reaches
+    it, as ``np.searchsorted(..., side="left")`` sends it, found in O(M) by
+    one stable merge of the two sorted runs: position j lands at j plus
+    the count of cumulative weights below it, and on a tie the position,
+    merged first, sorts before the weight.
+    """
     m = weights.size
     positions = (rng.random() + np.arange(m)) / m
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, positions)
+    order = np.argsort(np.concatenate([positions, cumulative]), kind="stable")
+    return np.flatnonzero(order < m) - np.arange(m)
 
 
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    """Weights proportional to exp(log_w), summing to one, shifted by the peak."""
+    """Weights proportional to exp(log_w), summing to one, shifted by the peak.
+
+    Overwrites ``log_w`` with the weights and returns it.
+    """
     peak = np.max(log_w)
     if not np.isfinite(peak):
         raise DegenerateWeightsError("all particle likelihoods vanished")
-    shifted = np.exp(log_w - peak)
-    return shifted / shifted.sum()
+    log_w -= peak
+    weights = np.exp(log_w, out=log_w)
+    weights /= weights.sum()
+    return weights
 
 
 def pf_step(
@@ -79,7 +92,8 @@ def pf_step(
         raise FilterDivergedError(n, "particle")
     log_lik = model.measurement_log_likelihood(np.asarray(y_n, dtype=float).ravel(), columns)
     # log(1/m), the uniform weight, cancels in the normalization but sets its rounding
-    weights = _normalize_log_weights(log_lik + np.log(1.0 / m))
+    log_lik += np.log(1.0 / m)
+    weights = _normalize_log_weights(log_lik)
     indices = systematic_resample(weights, rng)
     return Ensemble(np.take(columns, indices, axis=1)), ParticleBelief(columns @ weights)
 

@@ -46,7 +46,9 @@ class StateSpaceModel:
     draws that ``process`` colors internally.
     ``measurement_log_likelihood(y, X)`` takes the length-d_y observation
     and returns the length-M vector of log-densities, which must agree with
-    the law of ``sample_measurement_noise``.  ``sample_prior(rng, M)`` draws
+    the law of ``sample_measurement_noise``; it returns a new array, which
+    the caller owns and may overwrite (the particle filters normalize their
+    weights in it).  ``sample_prior(rng, M)`` draws
     M initial states, d x M.  ``prior_mean``/``prior_cov`` are the moments
     of the initial-state prior used by the Gaussian-belief filters, and
     ``process_noise_cov(x)`` the additive process-noise covariance at state
@@ -88,17 +90,21 @@ def wrap_angle(delta):
     """Wrap an angle difference into (-pi, pi].
 
     Bit for bit pi - mod(pi - delta, 2 pi); ``np.mod`` leaves entries of
-    [0, 2 pi) unchanged, so only the others (nan included) go through it.
+    [0, 2 pi) unchanged, so only the others (nan included) go through it,
+    and none does when every entry lies inside.
     """
     t = np.asarray(math.pi - np.asarray(delta))
-    outside = ~((t >= 0.0) & (t < 2.0 * math.pi))
-    t[outside] = np.mod(t[outside], 2.0 * math.pi)
+    inside = t >= 0.0
+    inside &= t < 2.0 * math.pi
+    if not inside.all():
+        outside = ~inside
+        t[outside] = np.mod(t[outside], 2.0 * math.pi)
     return math.pi - t
 
 
 def bearing(xi, eta):
     """Four-quadrant bearing of planar positions, elementwise."""
-    if np.any((xi == 0.0) & (eta == 0.0)):
+    if not np.all(xi) and np.any((xi == 0.0) & (eta == 0.0)):
         raise ValueError("bearing undefined at the origin")
     return np.arctan2(eta, xi)
 
@@ -106,7 +112,8 @@ def bearing(xi, eta):
 def _measurement_law(h, std: float, wrap=None) -> dict:
     """The measurement fields of a model observed as y = h(X) + v, v ~ N(0, std^2).
 
-    ``h`` maps a d x M state batch to its length-M noiseless observations;
+    ``h`` maps a d x M state batch to a new array of its length-M noiseless
+    observations, which the log-likelihood overwrites with the residuals;
     ``wrap``, when given, folds residuals back onto the observation's range.
     """
     norm = -math.log(std) - 0.5 * LOG_2PI
@@ -119,10 +126,14 @@ def _measurement_law(h, std: float, wrap=None) -> dict:
         return std * rng.standard_normal((1, count))
 
     def log_likelihood(y, X):
-        delta = y[0] - h(X)
+        delta = h(X)
+        np.subtract(y[0], delta, out=delta)
         if wrap is not None:
             delta = wrap(delta)
-        return -inv_two_var * delta * delta + norm
+        log_lik = -inv_two_var * delta
+        log_lik *= delta
+        log_lik += norm
+        return log_lik
 
     return dict(
         measure=measure,
@@ -226,10 +237,14 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
     q_cov = BOT_PROCESS_STD**2 * (CV_G @ CV_G.T)
 
     def process(X, N, n):
-        return CV_F @ X + CV_G @ N
+        out = CV_F @ X
+        out += CV_G @ N
+        return out
 
     def sample_process_noise(rng, count):
-        return BOT_PROCESS_STD * rng.standard_normal((2, count))
+        noise = rng.standard_normal((2, count))
+        noise *= BOT_PROCESS_STD
+        return noise
 
     def sample_prior(rng, count):
         return BOT_PRIOR_MEAN[:, None] + prior_root @ rng.standard_normal((count, 4)).T

@@ -11,6 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from kkbench import (
@@ -32,6 +35,7 @@ from kkbench.models import (
     _measurement_law,
     bearing,
     bot_cv,
+    build_model,
     wrap_angle,
 )
 
@@ -139,6 +143,74 @@ class TestSystematicResample:
         indices = systematic_resample(weights, np.random.default_rng(3))
         assert np.array_equal(np.sort(indices), np.arange(6))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 6000),
+        shape=st.sampled_from(["uniform draws", "zero runs", "point mass", "1e-300 range"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted_bit_for_bit(self, m, shape, seed):
+        # the merge must pick searchsorted's side="left" index for every
+        # position, from the same single uniform of the rng stream
+        draw = np.random.default_rng(seed)
+        weights = draw.random(m)
+        if shape == "zero runs":
+            for start in draw.integers(0, m, size=1 + m // 50):
+                weights[start : start + draw.integers(1, 200)] = 0.0
+            weights[draw.integers(0, m)] = 1.0  # at least one weight stays positive
+        elif shape == "point mass":
+            weights = np.zeros(m)
+            weights[draw.integers(0, m)] = 1.0
+        elif shape == "1e-300 range":
+            weights = 10.0 ** draw.uniform(-300.0, 0.0, m)
+        weights /= weights.sum()
+
+        rng, replay = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        indices = systematic_resample(weights, rng)
+        cumulative = np.cumsum(weights)
+        cumulative[-1] = 1.0
+        expected = np.searchsorted(cumulative, (replay.random() + np.arange(m)) / m)
+        assert indices.dtype == np.intp
+        assert np.array_equal(indices, expected)
+        assert np.all(np.diff(indices) >= 0)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_exact_ties_go_to_the_particle_whose_weight_they_reach(self):
+        # dyadic weights and offsets make positions equal cumulative weights
+        # exactly; side="left" sends each such position to that particle
+        class ScriptedUniforms:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        rng = ScriptedUniforms(0.0, 0.5)
+        # positions 0, 1/4, 1/2, 3/4 against cumulative 1/4, 1/2, 3/4, 1
+        assert systematic_resample(np.full(4, 0.25), rng).tolist() == [0, 0, 1, 2]
+        # positions 1/8, 3/8, 5/8, 7/8 against cumulative 1/8, 3/8, 5/8, 1
+        weights = np.array([0.125, 0.25, 0.25, 0.375])
+        assert systematic_resample(weights, rng).tolist() == [0, 1, 2, 3]
+
+
+class TestNormalizeLogWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 300),
+            elements=st.floats(-1e6, 1e3) | st.just(-math.inf),
+        )
+    )
+    def test_equals_the_shifted_exp_over_its_sum_bit_for_bit(self, log_w):
+        assume(np.isfinite(log_w).any())
+        shifted = np.exp(log_w - np.max(log_w))
+        expected = shifted / shifted.sum()
+        weights = _normalize_log_weights(log_w)
+        # the weights are formed in the argument's own storage
+        assert weights is log_w
+        assert np.array_equal(weights, expected)
+
 
 class TestPf:
     def test_init_uniform(self):
@@ -212,6 +284,31 @@ class TestPf:
         indices = systematic_resample(weights, rng)
         assert np.array_equal(got_belief.mean, columns @ weights)
         assert np.array_equal(got.particles, columns[:, indices])
+
+
+class TestInputsUnchanged:
+    @pytest.mark.parametrize("name", ["ungm", "bot-cv", "bot-ct"])
+    @pytest.mark.parametrize("filt", ["pf", "gpf", "ukf"])
+    def test_step_leaves_the_callers_arrays_alone(self, name, filt):
+        # the steps overwrite only arrays they made: the likelihood the
+        # model returns, never the state or the observation passed in
+        model = build_model(name)
+        rng = np.random.default_rng(15)
+        if filt == "pf":
+            state = pf_init(model, 40, rng)
+            held = [state.particles]
+        else:
+            state = GaussianBelief(model.prior_mean + 0.1, model.prior_cov + 0.01 * np.eye(model.state_dim))
+            held = [state.mean, state.cov]
+        observations = np.array([[-3.0, 0.4]])
+        held.append(observations)
+        before = [a.copy() for a in held]
+        step = {"pf": pf_step, "gpf": lambda *a: gpf_step(*a, 40), "ukf": ukf_step}[filt]
+        # one observation whose bearing residuals wrap, one whose do not
+        for n, y_n in enumerate(observations.T, start=1):
+            step(state, n, y_n, model, rng)
+        for a, b in zip(held, before):
+            assert np.array_equal(a, b)
 
 
 class TestGpf:

@@ -29,7 +29,7 @@ from kkbench import (
     ungm,
     wrap_angle,
 )
-from kkbench.models import BOT_PRIOR_COV_RAW, BOT_PRIOR_MEAN, CV_F, CV_G
+from kkbench.models import BOT_MEASUREMENT_STD, BOT_PRIOR_COV_RAW, BOT_PRIOR_MEAN, CV_F, CV_G
 
 
 def col(*values):
@@ -99,6 +99,38 @@ class TestBearing:
         xi = np.array([1.0, -1.0, 0.0])
         eta = np.array([1.0, 0.0, -2.0])
         assert_allclose(bearing(xi, eta), [math.pi / 4.0, math.pi, -math.pi / 2.0], rtol=1e-15)
+
+    def test_one_zero_coordinate_is_not_the_origin(self):
+        # the origin check needs both coordinates of one column at zero
+        xi = np.array([0.0, 1.0, -0.0, 2.0])
+        eta = np.array([1.0, 0.0, -2.0, 3.0])
+        assert_array_equal(bearing(xi, eta), np.arctan2(eta, xi))
+        assert_array_equal(bearing(eta, xi), np.arctan2(xi, eta))
+        with pytest.raises(ValueError):
+            bearing(np.array([1.0, -0.0]), np.array([0.0, 0.0]))
+
+
+class TestLogLikelihood:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["ungm", "bot-cv", "bot-ct"]),
+        m=st.integers(1, 300),
+        y=st.floats(-7.0, 7.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_gaussian_expression_bit_for_bit(self, name, m, y, seed):
+        # -c*delta*delta + norm over the (wrapped) residual, formed as written
+        model = build_model(name)
+        std = 1.0 if name == "ungm" else BOT_MEASUREMENT_STD
+        rng = np.random.default_rng(seed)
+        X = model.sample_prior(rng, m)
+        X = X + rng.standard_normal(X.shape)
+        delta = y - model.measure(X, np.zeros((1, m)))[0]
+        if model.wrap_residual is not None:
+            delta = wrap_angle(delta)
+        norm = -math.log(std) - 0.5 * math.log(2.0 * math.pi)
+        expected = -(0.5 / (std * std)) * delta * delta + norm
+        assert_array_equal(model.measurement_log_likelihood(np.array([y]), X), expected)
 
 
 class TestWrapAngle:
