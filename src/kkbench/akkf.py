@@ -24,6 +24,7 @@ from .kernels import (
     SingularMatrixError,
     feature_dim,
     feature_map,
+    gaussian_column,
     gram,
     low_rank_factor,
     project_moments,
@@ -315,7 +316,8 @@ def update(
     Observation particles are generated through the measurement model with
     fresh noise draws.  Under the fixed observation bandwidth, their Gram is
     factored by pivoted Cholesky, one kernel column per pivot, and the gain
-    update runs against the kernel vector of the real observation.
+    update runs against the kernel vector of the real observation, a column
+    formed the same way (:func:`~kkbench.kernels.gaussian_column`).
     """
     cfg = state.config
     particles = state.particles
@@ -325,7 +327,8 @@ def update(
         raise FilterDivergedError(n, "observation particle")
     obs = Ensemble(columns)
     spec = KernelSpec("gaussian", sigma=cfg.obs_sigma)
-    g_vec = gram(spec, obs, Ensemble(np.reshape(y_n, (-1, 1))))[:, 0]
+    y = Ensemble(np.reshape(y_n, (-1, 1))).particles[:, 0]  # checks that y_n is finite
+    g_vec = gaussian_column(spec, obs, y)
     F = low_rank_factor(spec, obs)
     state.w, state.S = gain_update(state.w, state.S, F, g_vec, cfg.kappa)
     return state

@@ -12,6 +12,15 @@ Gaussian readout of a weighted ensemble: :func:`weighted_moments`, the
 one weighted-moment readout the GPF and the polynomial AKKF share, and
 :func:`project_moments`, which projects a weight covariance through the
 particles.
+
+Pairwise distances come from ``scipy.spatial.distance``: ``pdist`` for the
+median bandwidth and ``cdist`` for a Gaussian Gram.  Those two functions
+import it when first called, so a process loads it (0.08-0.13 s and 9 MB
+on a 2-vCPU Xeon VM) at its first Gaussian Gram or bandwidth, and a PF,
+GPF, UKF or polynomial-AKKF process never does.  A single Gaussian kernel
+column, as the pivoted factor and the AKKF's observation kernel vector
+take one, needs no distance pass: :func:`gaussian_column` forms it with
+``cdist``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_solve  # noqa: F401  uncalled, kept for tracers
 from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.spatial.distance import cdist, pdist
 
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
 POLY_KINDS = tuple(POLY_DEGREE)
@@ -145,6 +153,8 @@ def resolve_bandwidth(spec: KernelSpec, ensemble: Ensemble) -> KernelSpec:
         return spec
     if ensemble.count < 2:
         raise ValueError("median heuristic needs at least two particles")
+    from scipy.spatial.distance import pdist
+
     med = float(np.median(pdist(ensemble.particles.T)))
     return replace(spec, sigma=med if med > 0 else 1.0)
 
@@ -162,9 +172,28 @@ def gram(spec: KernelSpec, A: Ensemble, B: Ensemble) -> np.ndarray:
     if A.dim != B.dim:
         raise ValueError("ensembles must share the state dimension")
     if spec.kind == "gaussian":
+        from scipy.spatial.distance import cdist
+
         sq = cdist(A.particles.T, B.particles.T, "sqeuclidean")
         return np.exp(-sq / spec.sigma**2)
     return (A.particles.T @ B.particles + spec.c) ** POLY_DEGREE[spec.kind]
+
+
+def gaussian_column(
+    spec: KernelSpec, E: Ensemble, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Column k(x_i, y) of a resolved Gaussian kernel over E's particles x_i.
+
+    Equals ``gram(spec, E, Ensemble(y))[:, 0]`` bit for bit with no
+    pairwise-distance pass: the squared differences are summed over the
+    state dimension in ``cdist``'s order, divided by -sigma^2 and
+    exponentiated, into ``out`` when it is given.
+    """
+    if y.shape != (E.dim,):
+        raise ValueError("ensembles must share the state dimension")
+    diff = E.particles - y[:, None]
+    diff *= diff
+    return np.exp(diff.sum(axis=0) / -(spec.sigma**2), out=out)
 
 
 def feature_dim(spec: KernelSpec, dim: int) -> int:
@@ -195,7 +224,10 @@ def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     multinomial expansion of (z.z')^p makes each degree-p monomial z^a,
     scaled by the square root of its multinomial coefficient, one feature.
     That gives r = C(d+p, p) rows (:func:`feature_dim`); the table of
-    monomials is built once per (d, p).
+    monomials is built once per (d, p).  Each factor's r rows of z are
+    gathered into one reused buffer and multiplied in place, in the order
+    root * z_a * z_b * ...; ``mode="clip"`` only spares ``np.take`` a
+    buffered copy of ``out``, as every index is in range.
     """
     if spec.kind not in POLY_KINDS:
         raise ValueError("feature map applies to quadratic and quartic kernels")
@@ -203,18 +235,19 @@ def feature_map(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     z = np.empty((E.dim + 1, E.count))
     z[:-1] = E.particles
     z[-1] = math.sqrt(spec.c)
-    phi = root[:, None] * z[index[0]]
+    phi = np.take(z, index[0], axis=0, mode="clip")
+    phi *= root[:, None]
+    rows = np.empty_like(phi)
     for row in index[1:]:
-        phi *= z[row]
+        phi *= np.take(z, row, axis=0, out=rows, mode="clip")
     return phi
 
 
 def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
     """Pivoted Cholesky factor F (M x r) of E's Gaussian self-Gram K, never formed.
 
-    Each pivot evaluates one column of K by :func:`gram`'s formula, bit for
-    bit: squared differences of the particles, summed in ``cdist``'s order
-    and divided by -sigma^2.  So r pivots cost r M kernel values instead of
+    Each pivot evaluates one column of K by :func:`gaussian_column`, gram's
+    column bit for bit.  So r pivots cost r M kernel values instead of
     M^2, and F's storage grows with r.  As in LAPACK's ``dpstrf``, the
     pivot is the largest remaining diagonal, the first on a tie, and r stops
     growing once none exceeds :data:`RANK_RTOL` times the mean diagonal (1
@@ -236,10 +269,7 @@ def low_rank_factor(spec: KernelSpec, E: Ensemble) -> np.ndarray:
             break
         if rank == len(F):
             F = np.concatenate([F, np.empty((min(m, 2 * rank) - rank, m))])
-        col = F[rank]
-        diff = X - X[:, j, None]
-        diff *= diff
-        np.exp(diff.sum(axis=0) / -(spec.sigma**2), out=col)
+        col = gaussian_column(spec, E, X[:, j], out=F[rank])
         col -= F[:rank, j] @ F[:rank]
         col *= 1.0 / math.sqrt(pivot)
         taken += col * col

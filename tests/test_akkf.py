@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import distance
 
 from kkbench import (
     AkkfConfig,
@@ -237,7 +238,7 @@ class TestInit:
         # another, and no cross-Gram is built
         grams, passes = [], []
         real_gram = akkf.gram
-        real_pdist, real_cdist = kernels.pdist, kernels.cdist
+        real_pdist, real_cdist = distance.pdist, distance.cdist
 
         def counting_gram(spec, A, B):
             grams.append((A.count, B.count))
@@ -252,8 +253,8 @@ class TestInit:
             return real_cdist(X, Y, *args)
 
         monkeypatch.setattr(akkf, "gram", counting_gram)
-        monkeypatch.setattr(kernels, "pdist", counting_pdist)
-        monkeypatch.setattr(kernels, "cdist", counting_cdist)
+        monkeypatch.setattr(distance, "pdist", counting_pdist)
+        monkeypatch.setattr(distance, "cdist", counting_cdist)
         linalg = spy_cholesky(monkeypatch)
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=7)
         init(identity_model(), cfg, np.random.default_rng(0))
@@ -350,6 +351,14 @@ class TestUpdate:
         S_exp = S_minus - Q @ G @ S_minus
         assert_allclose(state.w, w_exp, rtol=1e-9, atol=1e-12)
         assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("y", [[np.nan], [np.inf], [0.3, 0.1]])
+    def test_rejects_a_nonfinite_or_misshaped_observation(self, y):
+        model = identity_model()
+        rng = np.random.default_rng(7)
+        state = init(model, AkkfConfig(KernelSpec("quadratic"), obs_sigma=0.8, M=5), rng)
+        with pytest.raises(ValueError, match="finite|state dimension"):
+            update(state, 1, np.array(y), model, rng)
 
 
 class TestEstimate:

@@ -323,6 +323,24 @@ class TestRunMc:
         clean = [r.metric for r in records if not r.diverged]
         assert summary.metric_mean == pytest.approx(np.mean(clean))
 
+    def test_only_gaussian_state_kernels_load_scipy_spatial(self):
+        # pairwise distances come from scipy.spatial, loaded at the first
+        # Gaussian Gram; a fresh process shows which cells reach one
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys\n"
+            "import kkbench.cli\n"
+            "from kkbench.bench import ScenarioConfig, run_mc\n"
+            "for name, m in (('pf', 50), ('gpf', 20), ('ukf', 1), ('akkf-quartic', 20)):\n"
+            "    run_mc(ScenarioConfig('bot-cv', name, m, 1, 42))\n"
+            "    assert 'scipy.spatial' not in sys.modules, name\n"
+            "run_mc(ScenarioConfig('bot-ct', 'akkf-gaussian', 10, 1, 42))\n"
+            "assert 'scipy.spatial' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+
 
 class TestSweep:
     def test_rows_ordered_and_match_individual_runs(self):

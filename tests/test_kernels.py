@@ -25,7 +25,7 @@ from kkbench import (
     ridge_solve,
     weighted_moments,
 )
-from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, low_rank_factor
+from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_column, low_rank_factor
 
 ALL_KINDS = ("quadratic", "quartic", "gaussian")
 
@@ -277,6 +277,41 @@ class TestFeatureMap:
     def test_non_polynomial_rejected(self):
         with pytest.raises(ValueError):
             feature_map(KernelSpec("gaussian", sigma=1.0), Ensemble(np.zeros((1, 2))))
+
+
+class TestGaussianColumn:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        d=st.sampled_from((1, 2, 5)),
+        sigma=st.floats(0.1, 10.0),
+        spread=st.floats(1e-3, 100.0),
+        on_particle=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(m=234, d=1, sigma=0.1015625, spread=85.0, on_particle=False, seed=281)
+    @example(m=234, d=1, sigma=0.1015625, spread=85.0, on_particle=True, seed=281)
+    def test_equals_gram_column_bit_for_bit(self, m, d, sigma, spread, on_particle, seed):
+        # y either a fresh point or one of the particles, whose entry is 1
+        rng = np.random.default_rng(seed)
+        E = Ensemble(spread * rng.standard_normal((d, m)))
+        y = E.particles[:, m // 2].copy() if on_particle else spread * rng.standard_normal(d)
+        spec = KernelSpec("gaussian", sigma=sigma)
+        column = gaussian_column(spec, E, y)
+        assert np.array_equal(column, gram(spec, E, Ensemble(y[:, None]))[:, 0])
+        if on_particle:
+            assert column[m // 2] == 1.0
+
+    def test_writes_into_out(self):
+        E = Ensemble(np.array([[0.0, 1.0, 3.0]]))
+        out = np.full(3, np.nan)
+        column = gaussian_column(KernelSpec("gaussian", sigma=2.0), E, np.array([1.0]), out=out)
+        assert column is out
+        assert_array_equal(out, np.exp(np.array([1.0, 0.0, 4.0]) / -4.0))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="state dimension"):
+            gaussian_column(KernelSpec("gaussian", sigma=1.0), Ensemble(np.zeros((2, 3))), np.zeros(1))
 
 
 class TestLowRankFactor:
