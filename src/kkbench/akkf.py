@@ -72,7 +72,7 @@ class AkkfConfig:
         if not self.obs_sigma > 0:
             raise ValueError("obs_sigma must be positive")
         if self.M < 2:
-            raise ValueError("M must be at least 2")
+            raise ValueError("M must be at least 2 particles")
         if not self.lambda_tilde > 0:
             raise ValueError("lambda_tilde must be positive")
         if not self.kappa > 0:
@@ -81,15 +81,14 @@ class AkkfConfig:
 
 @dataclass(frozen=True)
 class FactoredCov:
-    """Weight covariance S = P^T Sigma P + c I - sum_i U_i W_i^-1 U_i^T, held in factors.
+    """Weight covariance S = P^T Sigma P + c I - sum_i D_i D_i^T, held in factors.
 
     ``features`` P (r x M) is the whitened feature map of the basis S was
     carried onto (see :func:`_rebasis`) and ``core`` Sigma (r x r) is
-    symmetric; each pair (U, W^-1) of ``downdates`` is a gain update's
-    Woodbury term, U = S F_y (M x r_y) and W^-1 the inverse of the r_y x r_y
-    matrix W = kappa I + F_y^T U.  The filter needs
-    two operations, ``S @ X`` and :meth:`sandwich`; both cost O(M r^2) and
-    form no M x M array.
+    symmetric; each factor D (M x r_y) of ``downdates`` is a gain update's
+    Woodbury term (see :func:`gain_update`).  The filter needs two
+    operations, ``S @ X`` and :meth:`sandwich`; both cost O(M r^2) and form
+    no M x M array.
     """
 
     features: np.ndarray
@@ -100,22 +99,22 @@ class FactoredCov:
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         P = self.features
         out = P.T @ (self.core @ (P @ X)) + self.scale * X
-        for U, W_inv in self.downdates:
-            out -= U @ (W_inv @ (U.T @ X))
+        for D in self.downdates:
+            out -= D @ (D.T @ X)
         return out
 
     def sandwich(self, B: np.ndarray) -> np.ndarray:
         """B S B^T, through the factors."""
         BP = B @ self.features.T
         out = BP @ self.core @ BP.T + self.scale * (B @ B.T)
-        for U, W_inv in self.downdates:
-            BU = B @ U
-            out -= BU @ W_inv @ BU.T
+        for D in self.downdates:
+            BD = B @ D
+            out -= BD @ BD.T
         return out
 
-    def downdate(self, U: np.ndarray, W_inv: np.ndarray) -> FactoredCov:
-        """S - U W^-1 U^T, appended to the factors."""
-        return replace(self, downdates=self.downdates + ((U, W_inv),))
+    def downdate(self, D: np.ndarray) -> FactoredCov:
+        """S - D D^T, appended to the factors."""
+        return replace(self, downdates=self.downdates + (D,))
 
 
 @dataclass
@@ -147,36 +146,34 @@ def gain_update(
 
     F (M x r) factors the observation Gram G = F F^T (in the filter, by
     :func:`~kkbench.kernels.low_rank_factor`).  With
-    Q = S_minus (G S_minus + kappa I)^-1, applies
+    Q = S_minus (G S_minus + s I)^-1, applies
     w_plus = w_minus + Q (g_vec - G w_minus) and
-    S_plus = S_minus - Q G S_minus, symmetrized.
+    S_plus = S_minus - Q G S_minus.
 
-    Woodbury's identity replaces the M x M system by an r x r one at every
-    rank r: with U = S_minus F and W = kappa I + F^T U, Q F = U W^-1, so
-    S_plus = S_minus - U W^-1 U^T and
-    Q rho = (S_minus rho - U W^-1 U^T rho) / kappa.  The innovation
+    Woodbury's identity replaces the M x M system by the r x r ridge system
+    W = s I + F^T U, U = S_minus F, at every rank r.
+    :func:`~kkbench.kernels.ridge_solve` factors it as it factors a change
+    of basis: s is kappa, or kappa plus a warned jitter, and the inverse
+    factor L^-1 gives D = U L^-T, so S_plus = S_minus - D D^T (exactly
+    symmetric, as numpy forms D D^T by BLAS syrk) and
+    Q rho = (S_minus rho - D (D^T rho)) / s.  The innovation
     rho = g_vec - F (F^T w_minus) goes through the same factor, so where
-    g_vec equals F (F^T w_minus) the weights are left untouched.  The
-    identity divides by kappa, so a kappa that is not positive, like a
-    singular W, raises :class:`SingularMatrixError`.  A :class:`FactoredCov`
-    S_minus takes S_plus as one more downdate instead of an M x M
-    difference.
+    g_vec equals F (F^T w_minus) the weights are left untouched.  A kappa
+    that is not positive (the identity divides by s), and a W that stays
+    singular or holds an inf or a nan, raise :class:`SingularMatrixError`.
+    A :class:`FactoredCov` S_minus takes D as one more downdate instead of
+    an M x M difference.
     """
     if not kappa > 0:
         raise SingularMatrixError("gain system: kappa must be positive")
     U = S_minus @ F
-    W = F.T @ U
-    W.flat[:: len(W) + 1] += kappa
-    try:
-        W_inv = np.linalg.inv(W)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("gain system: solve failed") from exc
+    Q, shift = ridge_solve(F.T @ U, kappa, name="gain system")
+    D = U @ Q.T
     rho = g_vec - F @ (F.T @ w_minus)
-    w_plus = w_minus + (S_minus @ rho - U @ (W_inv @ (U.T @ rho))) / kappa
+    w_plus = w_minus + (S_minus @ rho - D @ (D.T @ rho)) / shift
     if isinstance(S_minus, FactoredCov):
-        return w_plus, S_minus.downdate(U, W_inv)
-    S_plus = S_minus - U @ W_inv @ U.T
-    return w_plus, (S_plus + S_plus.T) / 2.0
+        return w_plus, S_minus.downdate(D)
+    return w_plus, S_minus - D @ D.T
 
 
 @dataclass(frozen=True)

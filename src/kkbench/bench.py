@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -46,9 +46,21 @@ SUMMARY_HEADER = [
 ]
 
 
+# Per-scenario kernel constants.  Observation bandwidths are fixed on each
+# scenario's observation scale (bearings span about +-pi, ungm observations
+# span tens); a per-step median bandwidth shrinks whenever the observation
+# particles bunch up and locks the filter into overconfidence.
+_STATE_C = {"ungm": 1.0, "bot-cv": 0.5, "bot-ct": 0.5}
+_OBS_SIGMA = {"ungm": 7.0, "bot-cv": 1.0, "bot-ct": 1.0}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One benchmark cell: scenario, filter, sizes, seeds, ridge settings."""
+    """One benchmark cell: scenario, filter, sizes, seeds, ridge settings.
+
+    An AKKF cell builds its ``akkf_config`` here, so that AkkfConfig's rules
+    reject it before any realization runs; the baselines ignore lam and kappa.
+    """
 
     scenario: str
     filter: str
@@ -57,6 +69,7 @@ class ScenarioConfig:
     seed: int
     lam: float = 1e-3
     kappa: float = 1e-3
+    akkf_config: AkkfConfig | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -65,11 +78,14 @@ class ScenarioConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be at least 1")
-        minimum = 2 if self.filter.startswith("akkf") else 1
-        if self.M < minimum:
-            raise ValueError(f"{self.filter} needs at least {minimum} particles")
+        if self.M < 1:
+            raise ValueError(f"{self.filter} needs at least 1 particle")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.filter.startswith("akkf"):
+            spec = KernelSpec(self.filter.split("-", 1)[1], c=_STATE_C[self.scenario])
+            akkf_config = AkkfConfig(spec, _OBS_SIGMA[self.scenario], self.M, self.lam, self.kappa)
+            object.__setattr__(self, "akkf_config", akkf_config)
 
 
 @dataclass
@@ -121,25 +137,6 @@ def lmse(truth: np.ndarray, est: np.ndarray) -> float:
         return float(np.log(errors.mean()))
 
 
-# Per-scenario kernel constants.  Observation bandwidths are fixed on each
-# scenario's observation scale (bearings span about +-pi, ungm observations
-# span tens); a per-step median bandwidth shrinks whenever the observation
-# particles bunch up and locks the filter into overconfidence.
-_STATE_C = {"ungm": 1.0, "bot-cv": 0.5, "bot-ct": 0.5}
-_OBS_SIGMA = {"ungm": 7.0, "bot-cv": 1.0, "bot-ct": 1.0}
-
-
-def _akkf_config(cfg: ScenarioConfig) -> AkkfConfig:
-    kind = cfg.filter.split("-", 1)[1]
-    return AkkfConfig(
-        state_kernel=KernelSpec(kind, c=_STATE_C[cfg.scenario]),
-        obs_sigma=_OBS_SIGMA[cfg.scenario],
-        M=cfg.M,
-        lambda_tilde=cfg.lam,
-        kappa=cfg.kappa,
-    )
-
-
 def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.ndarray:
     """Run the configured filter over an observation matrix; returns the d_x x N belief means.
 
@@ -148,7 +145,7 @@ def run_filter(cfg: ScenarioConfig, model, observations: np.ndarray, rng) -> np.
     step is looked up by name here, so a wrapper set on the name takes effect.
     """
     if cfg.filter.startswith("akkf"):
-        state, step = akkf.init(model, _akkf_config(cfg), rng), akkf.step
+        state, step = akkf.init(model, cfg.akkf_config, rng), akkf.step
     elif cfg.filter == "pf":
         state, step = pf_init(model, cfg.M, rng), pf_step
     else:  # gpf or ukf; ScenarioConfig admits no other name

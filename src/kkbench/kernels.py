@@ -299,9 +299,9 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
     which with one BLAS thread costs less than a triangular solve of as
     many right-hand sides.  ``shift`` is lam, or, when that factorization
     fails, lam plus a jitter of 1e-10*trace(K)/M, escalated tenfold up to
-    three times; then a :class:`RuntimeWarning` names the system and the
-    shift.  A system that stays singular, or that holds an inf or a nan,
-    raises :class:`SingularMatrixError`.
+    three times; then a :class:`RuntimeWarning` names the system, the shift
+    and the jitter.  A system that stays singular, or that holds an inf or
+    a nan, raises :class:`SingularMatrixError`.  An empty K returns lam.
 
     Each attempt factors one Fortran-ordered copy of K + shift*I by
     :func:`cho_factor` and inverts the factor in place with LAPACK
@@ -314,6 +314,8 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
     if not lam >= 0:
         raise ValueError("ridge parameter must be nonnegative")
     m = values.shape[0]
+    if m == 0:
+        return np.empty((0, 0)), lam
     shift = lam
     for escalation in range(4):
         a = np.array(values, order="F")
@@ -323,12 +325,12 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
         try:
             factor = cho_factor(a)
         except np.linalg.LinAlgError:
-            jitter = 1e-10 * float(np.trace(values)) / m
-            shift = lam + jitter * 10.0**escalation
+            jitter = 1e-10 * float(np.trace(values)) / m * 10.0**escalation
+            shift = lam + jitter
             continue
         if escalation:
             message = f"{name}: jitter escalated the ridge {lam:.6g} to a shift of {shift:.6g}"
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+            warnings.warn(f"{message} (jitter {jitter:.3g})", RuntimeWarning, stacklevel=2)
         return np.ascontiguousarray(dtrtri(factor, lower=1, overwrite_c=1)[0]), shift
     raise SingularMatrixError(f"{name}: ridge system singular after jitter escalation")
 

@@ -9,6 +9,8 @@ again and compares every metric's ``repr`` and diverged flag exactly; the
 rule is in ``tests/data/README.md``.
 
 Run from the repository root: ``PYTHONPATH=src python tests/make_same_numbers.py``.
+It prints each cell that moved against the fixture it replaces, with the
+old and new runs, before it writes.
 """
 
 import json
@@ -44,6 +46,15 @@ def run_grid() -> list[dict]:
     return rows
 
 
+def moved_cells(old_cells: list[dict], new_cells: list[dict]) -> list[str]:
+    """One line per cell whose runs differ: its label, then the old runs -> the new runs."""
+    return [
+        f"{new['scenario']} {new['filter']}@{new['M']}: {old['runs']} -> {new['runs']}"
+        for old, new in zip(old_cells, new_cells)
+        if old != new
+    ]
+
+
 def platform_info() -> dict:
     """The interpreter, the numerical libraries and the machine that ran the grid."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -57,11 +68,15 @@ def platform_info() -> dict:
 
 
 def main() -> None:
+    cells = run_grid()
+    if FIXTURE.exists():
+        for line in moved_cells(json.loads(FIXTURE.read_text(encoding="utf-8"))["cells"], cells):
+            print(line)
     fixture = {
         "platform": platform_info(),
         "seed": SEED,
         "realizations": REALIZATIONS,
-        "cells": run_grid(),
+        "cells": cells,
     }
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")

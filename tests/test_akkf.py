@@ -88,8 +88,8 @@ def dense_view(S):
         return np.asarray(S)
     P = S.features
     out = P.T @ S.core @ P + S.scale * np.eye(P.shape[1])
-    for U, W_inv in S.downdates:
-        out -= U @ W_inv @ U.T
+    for D in S.downdates:
+        out -= D @ D.T
     return (out + out.T) / 2.0
 
 
@@ -196,6 +196,43 @@ class TestGainUpdate:
         m = 4
         with pytest.raises(SingularMatrixError, match="gain"):
             gain_update(np.zeros(m), np.eye(m), np.zeros((m, 0)), np.zeros(m), 0.0)
+
+    def test_rank_zero_factor_adds_the_scaled_innovation(self, capfd):
+        # G = 0: no r x r system is factored, and w moves by S g / kappa
+        rng = np.random.default_rng(4)
+        m = 5
+        B = rng.standard_normal((m, m))
+        S = B @ B.T / m
+        w, g = rng.standard_normal(m), rng.standard_normal(m)
+        w_plus, S_plus = gain_update(w, S, np.zeros((m, 0)), g, 0.3)
+        assert_allclose(w_plus, w + S @ g / 0.3, rtol=1e-14)
+        assert np.array_equal(S_plus, S)
+        assert capfd.readouterr() == ("", "")
+
+    def test_nonfinite_weight_covariance_raises(self):
+        m = 4
+        S = np.eye(m)
+        S[1, 2] = S[2, 1] = np.nan
+        F = np.random.default_rng(5).standard_normal((m, 2))
+        with pytest.raises(SingularMatrixError, match="gain system"):
+            gain_update(np.zeros(m), S, F, np.ones(m), 1e-2)
+
+    def test_singular_at_kappa_escalates_jitter(self):
+        # F = I and S = diag(1, 1, -kappa) make W = kappa I + S singular at
+        # kappa; the gain takes the escalated shift s and matches the dense
+        # formula Q = S (G S + s I)^-1 there
+        kappa = 1e-2
+        S = np.diag([1.0, 1.0, -kappa])
+        rng = np.random.default_rng(6)
+        w, g = rng.standard_normal(3), rng.standard_normal(3)
+        with pytest.warns(RuntimeWarning, match="gain system: jitter escalated") as caught:
+            w_plus, S_plus = gain_update(w, S, np.eye(3), g, kappa)
+        assert len(caught) == 1
+        shift = kappa + 1e-10 * float(np.trace(S)) / 3
+        assert f"shift of {shift:.6g}" in str(caught[0].message)
+        Q = S @ np.linalg.inv(S + shift * np.eye(3))
+        assert_allclose(w_plus, w + Q @ (g - w), rtol=1e-6)
+        assert_allclose(S_plus, S - Q @ S, rtol=1e-6)
 
     @given(
         m=st.integers(min_value=2, max_value=8),
@@ -463,17 +500,14 @@ class TestStep:
     def test_covariances_stay_symmetric(self):
         # checks the stored S, not a symmetrized view of it.  ungm quadratic
         # at M=8 (r = 3) keeps S factored: the core is symmetrized exactly,
-        # while each downdate's W^-1 inverts a W = F^T (S F) that is formed
-        # symmetric only to rounding.  The Gaussian kernel keeps S dense and
-        # symmetrizes it at every stage.
+        # and each downdate D enters as D D^T, symmetric by construction.
+        # The Gaussian kernel keeps S dense: the gain subtracts D D^T, formed
+        # exactly symmetric, and the change of basis symmetrizes.
         def assert_symmetric(S):
             if not isinstance(S, akkf.FactoredCov):
                 assert np.array_equal(S, S.T)
                 return
             assert np.array_equal(S.core, S.core.T)
-            for _, W_inv in S.downdates:
-                scale = 1.0 + np.abs(W_inv).max()
-                assert np.abs(W_inv - W_inv.T).max() <= 1e-12 * scale
 
         model = build_model("ungm")
         for kind in ("quadratic", "gaussian"):
@@ -712,7 +746,7 @@ class TestMultistepOracle:
         def no_m_by_m_array(state):
             assert isinstance(state.S, akkf.FactoredCov)
             assert state.S.features.shape == (70, 200)
-            held = [state.S.features, state.S.core, *(a for pair in state.S.downdates for a in pair)]
+            held = [state.S.features, state.S.core, *state.S.downdates]
             assert all(a.shape != (200, 200) for a in held)
 
         self.replay(model, cfg, ys, no_m_by_m_array, lock_step=True)

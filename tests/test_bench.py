@@ -82,6 +82,14 @@ class TestScenarioConfig:
             ScenarioConfig("ungm", "akkf-quadratic", 1, 1, 0)
         ScenarioConfig("ungm", "pf", 1, 1, 0)
 
+    @pytest.mark.parametrize("ridge", [{"kappa": 0.0}, {"lam": -1.0}])
+    def test_akkf_ridge_settings_checked_up_front(self, ridge):
+        # the cell builds its AkkfConfig, whose rules reject it; the
+        # baselines ignore both ridge settings
+        with pytest.raises(ValueError, match="kappa|lambda_tilde"):
+            ScenarioConfig("bot-cv", "akkf-quartic", 20, 3, 1, **ridge)
+        assert ScenarioConfig("bot-cv", "pf", 20, 3, 1, **ridge).akkf_config is None
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="realizations"):
             ScenarioConfig("ungm", "pf", 10, 0, 0)
@@ -202,10 +210,25 @@ class TestRunOne:
         )
         assert rc == 3
 
-    def test_overflowing_feature_gram_recorded_as_divergence(self, tmp_path):
-        # ungm's quartic features overflow on realization 3 at seed 42: the
-        # proposal feature Gram holds infs, which ridge_solve reports as a
-        # singular system, so the run records a divergence and carries on
+    def test_overflowing_feature_gram_recorded_as_divergence(self, monkeypatch, tmp_path):
+        # realization 3's filter prior spreads ungm's states to +-1e80, so
+        # the quartic features of init's draws overflow: the proposal feature
+        # Gram holds infs, which ridge_solve reports as a singular system,
+        # so the run records a divergence and carries on.  The truth's own
+        # prior draw stays at x_0
+        import kkbench.bench as bench_mod
+
+        def overflowing_ungm(name):
+            model = build_model(name)
+
+            def sample_prior(rng, count):
+                if count > 1 and rng.bit_generator.seed_seq.spawn_key == (3,):
+                    return np.linspace(-1e80, 1e80, count)[None, :]
+                return model.sample_prior(rng, count)
+
+            return dataclasses.replace(model, sample_prior=sample_prior)
+
+        monkeypatch.setattr(bench_mod, "build_model", overflowing_ungm)
         cfg = ScenarioConfig("ungm", "akkf-quartic", 20, 4, 42)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert run_one(cfg, 3).diverged
@@ -503,6 +526,17 @@ class TestCli:
         assert exc.value.code == 2
         assert calls == []
         assert "argument --workers" in capsys.readouterr().err
+
+    def test_sweep_kappa_zero_exits_2_before_any_realization(self, tmp_path, capsys, monkeypatch):
+        import kkbench.bench as bench_mod
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "simulate", lambda *args: calls.append(args))
+        rc = main(["sweep", "--scenario", "bot-cv", "--filters", "pf,akkf-quartic", "--particles", "20",
+                   "--realizations", "3", "--seed", "1", "--kappa", "0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err == "kkbench: kappa must be positive\n"
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         rc = main(

@@ -468,6 +468,24 @@ class TestRidgeSolve:
         assert f"{shift:.6g}" in str(caught[0].message)
         assert_whitens(Q, K, shift, 1e-6)
 
+    def test_escalation_warning_names_the_jitter(self):
+        # with lam > 0 the shift at .6g reads as lam; the jitter shows the escalation
+        K = np.diag([1.0, 1.0, -1e-3])
+        with pytest.warns(RuntimeWarning, match="gain system") as caught:
+            Q, shift = ridge_solve(K, 1e-3, name="gain system")
+        jitter = 1e-10 * float(np.trace(K)) / 3
+        assert shift == 1e-3 + jitter
+        message = str(caught[0].message)
+        assert f"shift of {shift:.6g}" in message
+        assert f"(jitter {jitter:.3g})" in message and jitter > 0.0
+        assert_whitens(Q, K, shift, 1e-6)
+
+    def test_empty_system_calls_no_lapack(self, capfd):
+        # LAPACK's dtrtri prints an illegal-value message on an empty factor
+        Q, shift = ridge_solve(np.zeros((0, 0)), 1e-3)
+        assert Q.shape == (0, 0) and shift == 1e-3
+        assert capfd.readouterr() == ("", "")
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),

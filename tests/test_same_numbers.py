@@ -2,7 +2,7 @@
 
 import json
 
-from make_same_numbers import FIXTURE, platform_info, run_grid
+from make_same_numbers import FIXTURE, moved_cells, platform_info, run_grid
 
 
 def describe(platform: dict) -> str:
@@ -12,11 +12,7 @@ def describe(platform: dict) -> str:
 def test_grid_matches_fixture():
     fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
     observed = run_grid()
-    moved = [
-        f"{new['scenario']} {new['filter']}@{new['M']}: {old['runs']} -> {new['runs']}"
-        for old, new in zip(fixture["cells"], observed)
-        if old != new
-    ]
+    moved = moved_cells(fixture["cells"], observed)
     assert len(observed) == len(fixture["cells"]) and not moved, (
         f"fixture written on {describe(fixture['platform'])}; "
         f"this run on {describe(platform_info())}; moved cells:\n" + "\n".join(moved)
