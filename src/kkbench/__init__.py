@@ -1,17 +1,6 @@
 """Kernel Kalman filtering on particle ensembles, with benchmark baselines."""
 
-from .akkf import (
-    AkkfConfig,
-    AkkfState,
-    FilterDivergedError,
-    estimate,
-    gain_update,
-    init,
-    predict,
-    propose,
-    step,
-    update,
-)
+from .akkf import AkkfConfig, FilterDivergedError, gain_update, init, step
 from .baselines import (
     DegenerateWeightsError,
     gaussian_init,

@@ -69,14 +69,14 @@ class AkkfConfig:
     kappa: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not self.obs_sigma > 0:
-            raise ValueError("obs_sigma must be positive")
         if self.M < 2:
             raise ValueError("M must be at least 2 particles")
-        if not self.lambda_tilde > 0:
-            raise ValueError("lambda_tilde must be positive")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        for name in ("obs_sigma", "lambda_tilde", "kappa"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -289,9 +289,7 @@ def init(model: StateSpaceModel, cfg: AkkfConfig, rng: np.random.Generator) -> A
     )
 
 
-def predict(
-    state: AkkfState, n: int, model: StateSpaceModel, rng: np.random.Generator
-) -> AkkfState:
+def predict(state: AkkfState, n: int, model: StateSpaceModel, rng: np.random.Generator) -> None:
     """Propagate the particles through the process model to step n (1-based).
 
     The weights carry over unchanged: init and propose already charged the
@@ -302,12 +300,11 @@ def predict(
     if not np.isfinite(columns).all():
         raise FilterDivergedError(n, "propagated particle")
     state.particles = Ensemble(columns)
-    return state
 
 
 def update(
     state: AkkfState, n: int, y_n, model: StateSpaceModel, rng: np.random.Generator
-) -> AkkfState:
+) -> None:
     """Condition the weights on the observation y_n of step n.
 
     Observation particles are generated through the measurement model with
@@ -328,7 +325,6 @@ def update(
     g_vec = gaussian_column(spec, obs, y)
     F = low_rank_factor(spec, obs)
     state.w, state.S = gain_update(state.w, state.S, F, g_vec, cfg.kappa)
-    return state
 
 
 def estimate(state: AkkfState, n: int) -> GaussianBelief:
@@ -347,7 +343,7 @@ def estimate(state: AkkfState, n: int) -> GaussianBelief:
         raise FilterDivergedError(n, "belief moments") from exc
 
 
-def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) -> AkkfState:
+def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) -> None:
     """Redraw the particles and re-express the weights in their basis.
 
     Proposals are sampled from the posterior belief and replace the
@@ -359,7 +355,6 @@ def propose(state: AkkfState, belief: GaussianBelief, rng: np.random.Generator) 
     basis = _rebasis(state.config, proposals, state.particles)
     state.w, state.S = basis.carry(state.w, state.S)
     state.particles = proposals
-    return state
 
 
 def step(

@@ -67,8 +67,8 @@ class ScenarioConfig:
     M: int
     realizations: int
     seed: int
-    lam: float = 1e-3
-    kappa: float = 1e-3
+    lam: float = AkkfConfig.lambda_tilde
+    kappa: float = AkkfConfig.kappa
     akkf_config: AkkfConfig | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:

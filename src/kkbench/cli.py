@@ -11,6 +11,7 @@ import hashlib
 import os
 import sys
 
+from .akkf import AkkfConfig
 from .bench import (
     RunRecord,
     ScenarioConfig,
@@ -51,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--scenario", required=True)
     cell.add_argument("--realizations", type=int, required=True)
     cell.add_argument("--seed", type=int, required=True)
-    cell.add_argument("--lambda", dest="lam", type=float, default=1e-3)
-    cell.add_argument("--kappa", type=float, default=1e-3)
+    cell.add_argument("--lambda", dest="lam", type=float, default=AkkfConfig.lambda_tilde)
+    cell.add_argument("--kappa", type=float, default=AkkfConfig.kappa)
     cell.add_argument("--workers", type=_positive_int, default=1)
     cell.add_argument("--out", required=True)
 

@@ -144,7 +144,7 @@ def _measurement_law(h, std: float, wrap=None) -> dict:
     )
 
 
-def ungm(horizon: int = 100) -> StateSpaceModel:
+def ungm() -> StateSpaceModel:
     """Univariate nonlinear growth model.
 
     x_n = 0.5 x + 25 x/(1+x^2) + 8 cos(1.2 (n-1)) + u,  y = x^2/20 + v,
@@ -170,7 +170,7 @@ def ungm(horizon: int = 100) -> StateSpaceModel:
         prior_mean=np.array([0.1]),
         prior_cov=np.zeros((1, 1)),
         process_noise_cov=lambda x: np.eye(1),
-        default_horizon=horizon,
+        default_horizon=100,
         **_measurement_law(lambda X: X[0] * X[0] / 20.0, 1.0),
     )
 
@@ -212,6 +212,7 @@ BOT_PRIOR_COV = np.diag(np.diag(BOT_PRIOR_COV_RAW))
 
 BOT_PROCESS_STD = 1e-3
 BOT_MEASUREMENT_STD = 5e-3
+BOT_HORIZON = 30
 
 
 def _bearing_law() -> dict:
@@ -219,7 +220,7 @@ def _bearing_law() -> dict:
     return _measurement_law(lambda X: bearing(X[0], X[2]), BOT_MEASUREMENT_STD, wrap_angle)
 
 
-def bot_cv(horizon: int = 30) -> StateSpaceModel:
+def bot_cv() -> StateSpaceModel:
     """Bearings-only tracking of a constant-velocity target.
 
     State [xi, xi_dot, eta, eta_dot]; the observer sits at the origin and
@@ -259,7 +260,7 @@ def bot_cv(horizon: int = 30) -> StateSpaceModel:
         prior_mean=BOT_PRIOR_MEAN.copy(),
         prior_cov=prior_cov,
         process_noise_cov=lambda x: q_cov,
-        default_horizon=horizon,
+        default_horizon=BOT_HORIZON,
         **_bearing_law(),
     )
 
@@ -330,11 +331,11 @@ def _ct_noise_root(omega: float) -> np.ndarray:
         return _eigen_root(cov)
 
 
-def bot_ct(horizon: int = 30) -> StateSpaceModel:
+def bot_ct() -> StateSpaceModel:
     """Bearings-only tracking of a coordinated-turn target.
 
     State [xi, xi_dot, eta, eta_dot, omega].  The turn rate follows a random
-    walk and collapses to a third of its value at step horizon//2.  The
+    walk and collapses to a third of its value at step BOT_HORIZON // 2.  The
     process noise sampler returns unit normals; ``process`` colors the
     position/velocity part by the omega-dependent covariance evaluated at
     the freshly updated rate.
@@ -348,7 +349,7 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
     """
     prior_cov4 = psd_repair(BOT_PRIOR_COV_RAW)
     prior_root4 = _eigen_root(prior_cov4)
-    switch_step = horizon // 2
+    switch_step = BOT_HORIZON // 2
     rate_var = CT_RATE_PRIOR_HIGH**2 / 12.0
 
     prior_mean = np.append(BOT_PRIOR_MEAN, CT_RATE_PRIOR_HIGH / 2.0)
@@ -393,7 +394,7 @@ def bot_ct(horizon: int = 30) -> StateSpaceModel:
         prior_mean=prior_mean,
         prior_cov=prior_cov,
         process_noise_cov=process_noise_cov,
-        default_horizon=horizon,
+        default_horizon=BOT_HORIZON,
         **_bearing_law(),
     )
 
@@ -405,13 +406,13 @@ MODEL_BUILDERS = {
 }
 
 
-def build_model(name: str, horizon: int | None = None) -> StateSpaceModel:
-    """Construct a benchmark model by name, optionally overriding the horizon."""
+def build_model(name: str) -> StateSpaceModel:
+    """Construct a benchmark model by name."""
     try:
         builder = MODEL_BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}") from None
-    return builder() if horizon is None else builder(horizon=horizon)
+    return builder()
 
 
 def simulate(model: StateSpaceModel, N: int, rng: np.random.Generator) -> Trajectory:

@@ -121,7 +121,7 @@ class TestAkkfConfig:
     def test_obs_sigma_required_and_positive(self):
         with pytest.raises(TypeError, match="obs_sigma"):
             AkkfConfig(KernelSpec("quadratic"))
-        for sigma in (0.0, -1.0, float("nan")):
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="obs_sigma"):
                 AkkfConfig(KernelSpec("quadratic"), obs_sigma=sigma)
 
@@ -254,6 +254,31 @@ class TestGainUpdate:
         w_plus, S_plus = gain_update(w, S, A / np.sqrt(m), g, kappa)
         assert_allclose(w_plus, w_exp, rtol=1e-8, atol=1e-10)
         assert_allclose(S_plus, (S_exp + S_exp.T) / 2.0, rtol=1e-8, atol=1e-10)
+
+
+class TestFactoredCov:
+    def test_two_downdates_match_the_dense_view(self):
+        # the filter rebases S after its one gain update a step, so only a
+        # second gain_update before a change of basis multiplies through a
+        # downdate; the oracle runs both updates on the dense view
+        rng = np.random.default_rng(41)
+        m, r, kappa = 8, 3, 0.1
+        core = rng.standard_normal((r, r))
+        S = akkf.FactoredCov(rng.standard_normal((r, m)) / np.sqrt(m), core @ core.T, 1.0 / m)
+        S_dense = dense_view(S)
+        w = w_dense = np.full(m, 1.0 / m)
+        for _ in range(2):
+            F = rng.standard_normal((m, 2)) / np.sqrt(m)
+            g = rng.standard_normal(m)
+            w, S = gain_update(w, S, F, g, kappa)
+            w_dense, S_dense = gain_update(w_dense, S_dense, F, g, kappa)
+        assert len(S.downdates) == 2
+        assert_close_normwise(w, w_dense, 1e-10)
+        assert_close_normwise(dense_view(S), S_dense, 1e-10)
+        X = rng.standard_normal((m, 4))
+        B = rng.standard_normal((5, m))
+        assert_close_normwise(S @ X, dense_view(S) @ X, 1e-12)
+        assert_close_normwise(S.sandwich(B), B @ dense_view(S) @ B.T, 1e-12)
 
 
 class TestInit:

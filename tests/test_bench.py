@@ -82,7 +82,9 @@ class TestScenarioConfig:
             ScenarioConfig("ungm", "akkf-quadratic", 1, 1, 0)
         ScenarioConfig("ungm", "pf", 1, 1, 0)
 
-    @pytest.mark.parametrize("ridge", [{"kappa": 0.0}, {"lam": -1.0}])
+    @pytest.mark.parametrize(
+        "ridge", [{"kappa": 0.0}, {"lam": -1.0}, {"lam": float("inf")}, {"kappa": float("inf")}]
+    )
     def test_akkf_ridge_settings_checked_up_front(self, ridge):
         # the cell builds its AkkfConfig, whose rules reject it; the
         # baselines ignore both ridge settings
@@ -263,9 +265,9 @@ class TestFilterContract:
         for owner, name in [(akkf_mod, "step"), (bench_mod, "pf_step"), (bench_mod, "gpf_step"),
                             (bench_mod, "ukf_step")]:
             monkeypatch.setattr(owner, name, checked(getattr(owner, name)))
-        model = build_model(scenario, 3)
+        model = build_model(scenario)
         rng = realization_rng(0, 0)
-        observations = simulate(model, model.default_horizon, rng).observations
+        observations = simulate(model, 3, rng).observations
 
         real_process = model.process
 
@@ -537,6 +539,11 @@ class TestCli:
         assert rc == 2
         assert calls == []
         assert capsys.readouterr().err == "kkbench: kappa must be positive\n"
+        rc = main(["run", "--scenario", "bot-cv", "--filter", "akkf-quartic", "--particles", "20",
+                   "--realizations", "2", "--seed", "0", "--lambda", "inf", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err == "kkbench: lambda_tilde must be finite\n"
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         rc = main(

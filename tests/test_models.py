@@ -296,7 +296,7 @@ class TestBotCt:
         assert_allclose(out[4], 0.2, rtol=1e-15)
 
     def test_turn_rate_collapse_at_switch(self):
-        model = bot_ct(horizon=30)
+        model = bot_ct()
         x = col(1.0, 0.1, 1.0, 0.1, 0.3)
         out = model.process(x, np.zeros((5, 1)), 15)[:, 0]
         assert_allclose(out[4], 0.1, rtol=1e-15)
@@ -317,9 +317,6 @@ class TestBotCt:
 
 
 class TestBuildModel:
-    def test_horizon_override(self):
-        assert build_model("ungm", horizon=7).default_horizon == 7
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_model("ungm2")

@@ -3,9 +3,12 @@
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from kkbench.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +61,18 @@ def test_single_filter_block_runs():
     estimates, model = namespace["estimates"], namespace["model"]
     assert estimates.shape == (model.state_dim, model.default_horizon)
     assert np.isfinite(estimates).all()
+
+
+def test_command_lines_parse():
+    # every line that starts with "kkbench ", backslash continuations joined
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    lines = [line for line in text.splitlines() if line.startswith("kkbench ")]
+    assert lines, "the README shows no kkbench command"
+    parser = build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
