@@ -48,7 +48,7 @@ LOW_RANK_MAX_SHARE = 0.5
 class FilterDivergedError(RuntimeError):
     """A filter produced a non-finite particle or belief."""
 
-    def __init__(self, time_index: int, what: str = "state"):
+    def __init__(self, time_index: int, what: str):
         super().__init__(f"filter diverged at step {time_index} ({what})")
         self.time_index = time_index
 

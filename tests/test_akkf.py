@@ -15,25 +15,31 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial import distance
 
-from kkbench import (
+from kkbench import akkf, kernels
+from kkbench.akkf import (
     AkkfConfig,
-    Ensemble,
     FilterDivergedError,
+    _rebasis,
+    estimate,
+    gain_update,
+    init,
+    predict,
+    propose,
+    step,
+    update,
+)
+from kkbench.kernels import (
+    Ensemble,
     GaussianBelief,
     KernelSpec,
     SingularMatrixError,
-    build_model,
-    gain_update,
     gram,
+    low_rank_factor,
     project_moments,
     resolve_bandwidth,
-    simulate,
     weighted_moments,
 )
-from kkbench import akkf, kernels
-from kkbench.akkf import _rebasis, estimate, init, predict, propose, step, update
-from kkbench.kernels import low_rank_factor
-from kkbench.models import StateSpaceModel
+from kkbench.models import StateSpaceModel, build_model, simulate
 
 
 def belief_means(model, cfg, observations, rng):

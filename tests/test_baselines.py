@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from kkbench import (
+from kkbench.baselines import (
     DegenerateWeightsError,
-    Ensemble,
-    GaussianBelief,
+    _normalize_log_weights,
+    _sigma_points,
+    _sigma_weights,
     gaussian_init,
     gpf_step,
     pf_init,
@@ -27,8 +28,7 @@ from kkbench import (
     systematic_resample,
     ukf_step,
 )
-from kkbench.baselines import _normalize_log_weights, _sigma_points, _sigma_weights
-from kkbench.kernels import psd_repair
+from kkbench.kernels import Ensemble, GaussianBelief, psd_repair
 from kkbench.models import (
     BOT_MEASUREMENT_STD,
     StateSpaceModel,

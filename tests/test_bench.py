@@ -10,30 +10,36 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from kkbench import (
+from kkbench.akkf import FilterDivergedError
+from kkbench.bench import (
     FILTERS,
     SCENARIOS,
-    FilterDivergedError,
     MetricsSummary,
     RunRecord,
     ScenarioConfig,
-    build_model,
     lmse,
     mse,
     read_run_csv,
+    realization_rng,
+    run_filter,
     run_mc,
     run_one,
     scenario_metric,
-    simulate,
     summarize,
     sweep,
     write_run_csv,
     write_summary_csv,
 )
-from kkbench.bench import realization_rng, run_filter
 from kkbench.cli import main
+from kkbench.models import build_model, simulate
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """The environment of a child Python that imports kkbench from this checkout's ``src``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 class TestMetrics:
@@ -351,8 +357,6 @@ class TestRunMc:
     def test_only_gaussian_state_kernels_load_scipy_spatial(self):
         # pairwise distances come from scipy.spatial, loaded at the first
         # Gaussian Gram; a fresh process shows which cells reach one
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (
             "import sys\n"
             "import kkbench.cli\n"
@@ -363,7 +367,7 @@ class TestRunMc:
             "run_mc(ScenarioConfig('bot-ct', 'akkf-gaussian', 10, 1, 42))\n"
             "assert 'scipy.spatial' in sys.modules\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
 
 
@@ -684,14 +688,12 @@ class TestCompare:
         # the read end of the pipe is closed before the child starts, so its
         # first write to stdout fails
         a = write_records(tmp_path / "a.csv", [1.0, 2.0])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys; from kkbench.cli import main; sys.exit(main(sys.argv[1:]))"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run([sys.executable, "-c", code, "compare", str(a), str(a)],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+                                  stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=120)
         finally:
             os.close(write_end)
         assert proc.returncode == 1
@@ -700,7 +702,7 @@ class TestCompare:
 
 
 def load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -708,10 +710,33 @@ def load_tracing():
 
 
 class TestTraceHooks:
+    def test_package_binds_only_its_modules(self):
+        # perfbench imports kkbench.cli and hands the package to the tracer,
+        # which reads the six modules off it; a fresh process shows what that
+        # import binds and loads
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import kkbench.cli\n"
+            "for name in ('akkf', 'baselines', 'bench', 'cli', 'kernels', 'models'):\n"
+            "    module = getattr(kkbench, name)\n"
+            "    assert Path(module.__file__).resolve().parent == Path(sys.argv[1]), name\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+            "try:\n"
+            "    from kkbench import run_mc\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('the package root binds run_mc')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src" / "kkbench")],
+                              capture_output=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_tracer_installs_and_restores_every_patch(self):
         # perfbench's tracer wraps kkbench functions by module attribute; a
         # renamed lookup would make its install step raise
-        import kkbench
+        import kkbench.cli
 
         tracing = load_tracing()
         originals = []
@@ -734,7 +759,7 @@ class TestTraceHooks:
     def test_run_filter_steps_through_the_traced_names(self):
         # the tracer wraps the step names on bench and the stages on akkf;
         # run_filter must look them up at each call for the spans to fire
-        import kkbench
+        import kkbench.cli
 
         tracing = load_tracing()
         spans, layers = {}, {}
@@ -761,7 +786,7 @@ class TestTraceHooks:
         # the tracer counts bot-ct noise roots on models._ct_noise_root and
         # their eigen fallbacks on models._eigen_root; the printed noise form
         # is indefinite at rate 0, so only those columns fall back
-        import kkbench
+        import kkbench.cli
         from kkbench.models import ct_noise_cov
 
         assert np.linalg.eigvalsh(ct_noise_cov(0.0))[0] < 0.0 < np.linalg.eigvalsh(ct_noise_cov(0.5))[0]

@@ -12,20 +12,24 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg.lapack import dtrtri
 
-from kkbench import (
+from kkbench.kernels import (
+    RANK_RTOL,
     Ensemble,
     GaussianBelief,
     KernelSpec,
     SingularMatrixError,
-    build_model,
+    feature_dim,
+    feature_map,
+    gaussian_column,
     gram,
+    low_rank_factor,
     project_moments,
     psd_repair,
     resolve_bandwidth,
     ridge_solve,
     weighted_moments,
 )
-from kkbench.kernels import RANK_RTOL, feature_dim, feature_map, gaussian_column, low_rank_factor
+from kkbench.models import build_model
 
 ALL_KINDS = ("quadratic", "quartic", "gaussian")
 

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import norm
 
-from kkbench import (
-    AkkfConfig,
-    KernelSpec,
+from kkbench.akkf import AkkfConfig, init
+from kkbench.baselines import pf_init
+from kkbench.kernels import KernelSpec, psd_repair
+from kkbench.models import (
+    BOT_MEASUREMENT_STD,
+    BOT_PRIOR_COV_RAW,
+    BOT_PRIOR_MEAN,
+    CV_F,
     SimulationDivergedError,
     StateSpaceModel,
     Trajectory,
@@ -22,14 +27,10 @@ from kkbench import (
     build_model,
     ct_noise_cov,
     ct_transition,
-    init,
-    pf_init,
-    psd_repair,
     simulate,
     ungm,
     wrap_angle,
 )
-from kkbench.models import BOT_MEASUREMENT_STD, BOT_PRIOR_COV_RAW, BOT_PRIOR_MEAN, CV_F, CV_G
 
 
 def col(*values):

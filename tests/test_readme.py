@@ -8,19 +8,21 @@ from pathlib import Path
 
 import numpy as np
 
+import kkbench
 from kkbench.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# A backticked `module.name`, with or without the `kkbench.` prefix.
-CITED = re.compile(r"`(?:kkbench\.)?((?:akkf|baselines|bench|cli|kernels|models)\.[A-Za-z_][\w.]*)`")
+# A backticked `module.name`, or anything backticked after `kkbench.`.
+CITED = re.compile(r"`(kkbench\.[A-Za-z_][\w.]*|(?:akkf|baselines|bench|cli|kernels|models)\.[A-Za-z_][\w.]*)`")
 PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
 def resolves(name: str) -> bool:
-    module, *attrs = name.split(".")
-    obj = importlib.import_module(f"kkbench.{module}")
-    for attr in attrs:
+    # the package binds its six modules (cli once imported above) and
+    # nothing else, so a name resolves only through the module that defines it
+    obj = kkbench
+    for attr in name.removeprefix("kkbench.").split("."):
         if not hasattr(obj, attr):
             return False
         obj = getattr(obj, attr)
