@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -220,6 +219,8 @@ def run_mc(cfg: ScenarioConfig, workers: int = 1) -> tuple[list[RunRecord], Metr
     if workers <= 1:
         records = [run_one(cfg, r) for r in indices]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(run_one, cfg), indices))
     return records, summarize(records)

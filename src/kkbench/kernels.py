@@ -20,7 +20,11 @@ on a 2-vCPU Xeon VM) at its first Gaussian Gram or bandwidth, and a PF,
 GPF, UKF or polynomial-AKKF process never does.  A single Gaussian kernel
 column, as the pivoted factor and the AKKF's observation kernel vector
 take one, needs no distance pass: :func:`gaussian_column` forms it with
-``cdist``'s arithmetic.
+``cdist``'s arithmetic.  Likewise :func:`cho_factor` and
+:func:`ridge_solve` import their LAPACK routines from
+``scipy.linalg.lapack`` when called, so ``scipy.linalg`` (0.15-0.25 s on
+that VM) loads at an AKKF process's first ridge solve and a PF, GPF or
+UKF process loads no scipy module.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve  # noqa: F401  uncalled, kept for tracers
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 POLY_DEGREE = {"quadratic": 2, "quartic": 4}
 POLY_KINDS = tuple(POLY_DEGREE)
@@ -285,10 +287,19 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     the factor in a's place.  A matrix that is not positive definite raises
     :class:`numpy.linalg.LinAlgError`.
     """
+    from scipy.linalg.lapack import dpotrf
+
     factor, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
     return factor
+
+
+def cho_solve(c_and_lower, b, **kwargs):
+    """Not called: perfbench's tracer wraps this name.  Runs scipy's ``cho_solve``."""
+    from scipy.linalg import cho_solve
+
+    return cho_solve(c_and_lower, b, **kwargs)
 
 
 def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[np.ndarray, float]:
@@ -331,6 +342,8 @@ def ridge_solve(K: np.ndarray, lam: float, name: str = "gram matrix") -> tuple[n
         if escalation:
             message = f"{name}: jitter escalated the ridge {lam:.6g} to a shift of {shift:.6g}"
             warnings.warn(f"{message} (jitter {jitter:.3g})", RuntimeWarning, stacklevel=2)
+        from scipy.linalg.lapack import dtrtri
+
         return np.ascontiguousarray(dtrtri(factor, lower=1, overwrite_c=1)[0]), shift
     raise SingularMatrixError(f"{name}: ridge system singular after jitter escalation")
 

@@ -356,19 +356,31 @@ class TestRunMc:
 
     def test_only_gaussian_state_kernels_load_scipy_spatial(self):
         # pairwise distances come from scipy.spatial, loaded at the first
-        # Gaussian Gram; a fresh process shows which cells reach one
-        code = (
+        # Gaussian Gram, and LAPACK from scipy.linalg, loaded at the first
+        # ridge solve; a fresh process shows which cells reach either
+        prelude = (
             "import sys\n"
             "import kkbench.cli\n"
             "from kkbench.bench import ScenarioConfig, run_mc\n"
-            "for name, m in (('pf', 50), ('gpf', 20), ('ukf', 1), ('akkf-quartic', 20)):\n"
+            "def scipy_modules():\n"
+            "    return [mod for mod in sys.modules if mod.split('.')[0] == 'scipy']\n"
+        )
+        in_turn = prelude + (
+            "for name, m in (('pf', 50), ('gpf', 20), ('ukf', 1)):\n"
             "    run_mc(ScenarioConfig('bot-cv', name, m, 1, 42))\n"
-            "    assert 'scipy.spatial' not in sys.modules, name\n"
+            "    assert not scipy_modules(), (name, scipy_modules())\n"
+            "run_mc(ScenarioConfig('bot-cv', 'akkf-quartic', 20, 1, 42))\n"
+            "assert 'scipy.linalg' in sys.modules and 'scipy.spatial' not in sys.modules\n"
             "run_mc(ScenarioConfig('bot-ct', 'akkf-gaussian', 10, 1, 42))\n"
             "assert 'scipy.spatial' in sys.modules\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
+        gaussian_alone = prelude + (
+            "run_mc(ScenarioConfig('bot-ct', 'akkf-gaussian', 10, 1, 42))\n"
+            "assert 'scipy.linalg' in sys.modules and 'scipy.spatial' in sys.modules\n"
+        )
+        for code in (in_turn, gaussian_alone):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestSweep:
@@ -722,6 +734,8 @@ class TestTraceHooks:
             "    module = getattr(kkbench, name)\n"
             "    assert Path(module.__file__).resolve().parent == Path(sys.argv[1]), name\n"
             "assert 'scipy.spatial' not in sys.modules\n"
+            "assert not [mod for mod in sys.modules if mod.split('.')[0] == 'scipy']\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "try:\n"
             "    from kkbench import run_mc\n"
             "except ImportError:\n"

@@ -18,6 +18,7 @@ from kkbench.kernels import (
     GaussianBelief,
     KernelSpec,
     SingularMatrixError,
+    cho_solve,
     feature_dim,
     feature_map,
     gaussian_column,
@@ -534,6 +535,16 @@ def test_ridge_solve_residual(seed, m, lam):
     assert shift == lam
     cond = np.linalg.cond(K + lam * np.eye(m))
     assert_whitens(Q, K, shift, 1e-12 * cond)
+
+
+def test_cho_solve_is_scipys():
+    # kkbench calls no cho_solve; the name stays bound and imports scipy's when called
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((6, 6))
+    L = np.linalg.cholesky(A @ A.T + np.eye(6))
+    b = rng.standard_normal((6, 2))
+    assert_array_equal(cho_solve((L, True), b), scipy.linalg.cho_solve((L, True), b))
+    assert_array_equal(cho_solve((L, True), b, check_finite=False), scipy.linalg.cho_solve((L, True), b))
 
 
 class TestPsdRepair:
