@@ -48,15 +48,13 @@ class StateSpaceModel:
     and returns the length-M vector of log-densities, which must agree with
     the law of ``sample_measurement_noise``; it returns a new array, which
     the caller owns and may overwrite (the particle filters normalize their
-    weights in it).  ``sample_prior(rng, M)`` draws
-    M initial states, d x M.  ``prior_mean``/``prior_cov`` are the moments
-    of the initial-state prior used by the Gaussian-belief filters, and
-    ``process_noise_cov(x)`` the additive process-noise covariance at state
-    ``x`` that the UKF adds.
+    weights in it).  ``sample_prior(rng, M)`` draws M initial states, d x M.
+    ``prior_mean``/``prior_cov`` are the moments of the initial-state prior
+    used by the Gaussian-belief filters, and ``process_noise_cov(x)`` the
+    additive process-noise covariance at state ``x`` that the UKF adds.
+    d is ``prior_mean.size`` and d_y is ``len(measurement_noise_cov)``.
     """
 
-    state_dim: int
-    obs_dim: int
     process_noise_dim: int
     process: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -70,6 +68,14 @@ class StateSpaceModel:
     measurement_noise_cov: np.ndarray
     default_horizon: int
     wrap_residual: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def state_dim(self) -> int:
+        return self.prior_mean.size
+
+    @property
+    def obs_dim(self) -> int:
+        return len(self.measurement_noise_cov)
 
 
 @dataclass(frozen=True)
@@ -161,8 +167,6 @@ def ungm() -> StateSpaceModel:
         return rng.standard_normal((1, count))
 
     return StateSpaceModel(
-        state_dim=1,
-        obs_dim=1,
         process_noise_dim=1,
         process=process,
         sample_process_noise=sample_process_noise,
@@ -251,8 +255,6 @@ def bot_cv() -> StateSpaceModel:
         return BOT_PRIOR_MEAN[:, None] + prior_root @ rng.standard_normal((count, 4)).T
 
     return StateSpaceModel(
-        state_dim=4,
-        obs_dim=1,
         process_noise_dim=2,
         process=process,
         sample_process_noise=sample_process_noise,
@@ -385,8 +387,6 @@ def bot_ct() -> StateSpaceModel:
         return cov
 
     return StateSpaceModel(
-        state_dim=5,
-        obs_dim=1,
         process_noise_dim=5,
         process=process,
         sample_process_noise=sample_process_noise,

@@ -1,8 +1,8 @@
 """Tests for the kernel Kalman filter cycle.
 
-The dense oracles here recompute each stage with plain inverse-based
-linear algebra and explicit Gram assembly, then compare against the
-solver-based implementation.
+The dense oracles (``oracles.dense_gain`` and ``oracles.dense_rebasis``)
+recompute each stage with plain M x M linear algebra and explicit Gram
+assembly, then compare against the solver-based implementation.
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import assert_close_normwise, dense_gain, dense_rebasis, dense_view, linear_model
 from scipy.spatial import distance
 
 from kkbench import akkf, kernels
@@ -39,7 +40,7 @@ from kkbench.kernels import (
     resolve_bandwidth,
     weighted_moments,
 )
-from kkbench.models import StateSpaceModel, build_model, simulate
+from kkbench.models import build_model, simulate
 
 
 def belief_means(model, cfg, observations, rng):
@@ -52,51 +53,8 @@ def belief_means(model, cfg, observations, rng):
     return means
 
 
-def identity_model(noise_std: float = 0.05) -> StateSpaceModel:
-    """Scalar random walk observed directly, for tracking sanity checks."""
-
-    var = noise_std * noise_std
-
-    def process(x, noise, n):
-        return x + noise
-
-    def measure(x, noise):
-        return x + noise
-
-    def sample_noise(rng, count):
-        return noise_std * rng.standard_normal((1, count))
-
-    def log_likelihood(y, x):
-        delta = (y[0] - x[0]) / noise_std
-        return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
-
-    return StateSpaceModel(
-        state_dim=1,
-        obs_dim=1,
-        process_noise_dim=1,
-        process=process,
-        measure=measure,
-        sample_process_noise=sample_noise,
-        sample_measurement_noise=sample_noise,
-        measurement_log_likelihood=log_likelihood,
-        sample_prior=lambda rng, count: rng.standard_normal((1, count)),
-        prior_mean=np.zeros(1),
-        prior_cov=np.eye(1),
-        process_noise_cov=lambda x: var * np.eye(1),
-        measurement_noise_cov=var * np.eye(1),
-        default_horizon=10,
-    )
-
-
-def dense_view(S):
-    """The symmetrized M x M array of a weight covariance, dense or an akkf.FactoredCov."""
-    if not isinstance(S, akkf.FactoredCov):
-        return np.asarray(S)
-    P = S.features
-    out = P.T @ S.core @ P + S.scale * np.eye(P.shape[1])
-    for D in S.downdates:
-        out -= D @ D.T
-    return (out + out.T) / 2.0
+# scalar random walk observed directly, for tracking sanity checks
+RANDOM_WALK = linear_model(a=1.0, noise_std=0.05, prior_mean=0.0)
 
 
 def spy_cholesky(monkeypatch):
@@ -115,6 +73,19 @@ def spy_cholesky(monkeypatch):
     monkeypatch.setattr(kernels, "cho_factor", factor)
     monkeypatch.setattr(kernels, "cho_solve", solve)
     return calls
+
+
+def spy_grams(monkeypatch):
+    """Record the particle counts (rows, columns) of each Gram the akkf module builds."""
+    grams = []
+    real_gram = akkf.gram
+
+    def counting_gram(spec, A, B):
+        grams.append((A.count, B.count))
+        return real_gram(spec, A, B)
+
+    monkeypatch.setattr(akkf, "gram", counting_gram)
+    return grams
 
 
 class TestAkkfConfig:
@@ -158,10 +129,7 @@ class TestGainUpdate:
         w = rng.standard_normal(m)
         g = rng.standard_normal(m)
         kappa = 0.37
-        Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
-        w_exp = w + Q @ (g - G @ w)
-        S_exp = S - Q @ G @ S
-        S_exp = (S_exp + S_exp.T) / 2.0
+        w_exp, S_exp = dense_gain(w, S, G, g, kappa)
         w_plus, S_plus = gain_update(w, S, A / np.sqrt(m), g, kappa)
         assert_allclose(w_plus, w_exp, rtol=1e-10)
         assert_allclose(S_plus, S_exp, rtol=1e-10, atol=1e-12)
@@ -236,9 +204,9 @@ class TestGainUpdate:
         assert len(caught) == 1
         shift = kappa + 1e-10 * float(np.trace(S)) / 3
         assert f"shift of {shift:.6g}" in str(caught[0].message)
-        Q = S @ np.linalg.inv(S + shift * np.eye(3))
-        assert_allclose(w_plus, w + Q @ (g - w), rtol=1e-6)
-        assert_allclose(S_plus, S - Q @ S, rtol=1e-6)
+        w_exp, S_exp = dense_gain(w, S, np.eye(3), g, shift)
+        assert_allclose(w_plus, w_exp, rtol=1e-6)
+        assert_allclose(S_plus, S_exp, rtol=1e-6)
 
     @given(
         m=st.integers(min_value=2, max_value=8),
@@ -254,12 +222,10 @@ class TestGainUpdate:
         S = B @ B.T / m
         w = rng.standard_normal(m)
         g = rng.standard_normal(m)
-        Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
-        w_exp = w + Q @ (g - G @ w)
-        S_exp = S - Q @ G @ S
+        w_exp, S_exp = dense_gain(w, S, G, g, kappa)
         w_plus, S_plus = gain_update(w, S, A / np.sqrt(m), g, kappa)
         assert_allclose(w_plus, w_exp, rtol=1e-8, atol=1e-10)
-        assert_allclose(S_plus, (S_exp + S_exp.T) / 2.0, rtol=1e-8, atol=1e-10)
+        assert_allclose(S_plus, S_exp, rtol=1e-8, atol=1e-10)
 
 
 class TestFactoredCov:
@@ -290,7 +256,7 @@ class TestFactoredCov:
 class TestInit:
     def test_uniform_weights_and_identity_basis(self):
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=6)
-        model = identity_model()
+        model = RANDOM_WALK
         state = init(model, cfg, np.random.default_rng(0))
         assert state.particles.count == 6
         assert_allclose(state.w, np.full(6, 1.0 / 6.0))
@@ -304,13 +270,8 @@ class TestInit:
         # by products with no solve; on a Gaussian kernel the median
         # bandwidth takes one pairwise-distance pass and the self-Gram
         # another, and no cross-Gram is built
-        grams, passes = [], []
-        real_gram = akkf.gram
+        passes = []
         real_pdist, real_cdist = distance.pdist, distance.cdist
-
-        def counting_gram(spec, A, B):
-            grams.append((A.count, B.count))
-            return real_gram(spec, A, B)
 
         def counting_pdist(X, *args):
             passes.append(("pdist", len(X)))
@@ -320,12 +281,12 @@ class TestInit:
             passes.append(("cdist", len(X)))
             return real_cdist(X, Y, *args)
 
-        monkeypatch.setattr(akkf, "gram", counting_gram)
+        grams = spy_grams(monkeypatch)
         monkeypatch.setattr(distance, "pdist", counting_pdist)
         monkeypatch.setattr(distance, "cdist", counting_cdist)
         linalg = spy_cholesky(monkeypatch)
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=7)
-        init(identity_model(), cfg, np.random.default_rng(0))
+        init(RANDOM_WALK, cfg, np.random.default_rng(0))
         assert grams == [(7, 7)]
         assert passes == [("pdist", 7), ("cdist", 7)]
         assert linalg == [("cho_factor", (7, 7))]
@@ -339,7 +300,7 @@ class TestInit:
 
 class TestPredict:
     def test_matches_dense_oracle(self):
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.5), obs_sigma=1.0, M=5, lambda_tilde=1e-2)
         rng = np.random.default_rng(4)
         state = init(model, cfg, rng)
@@ -353,33 +314,25 @@ class TestPredict:
 
         noise = model.sample_process_noise(rng_oracle, 5)
         expected_particles = proposals + noise
-        K = gram(KernelSpec("gaussian", sigma=1.5), Ensemble(proposals), Ensemble(proposals))
-        lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
-        T = np.linalg.inv(K + lam * np.eye(5)) @ K
-        R = T - np.eye(5)
+        _, V = dense_rebasis(cfg, Ensemble(proposals), Ensemble(proposals))
         assert_allclose(state.particles.particles, expected_particles, rtol=1e-12)
         assert np.array_equal(state.w, w_tilde)
         assert np.array_equal(state.S, S_tilde)
-        assert_allclose(S_tilde, np.eye(5) / 5.0 + R @ R.T / 5.0, rtol=1e-8, atol=1e-12)
+        assert_allclose(S_tilde, np.eye(5) / 5.0 + V, rtol=1e-8, atol=1e-12)
 
     def test_tiny_ridge_adds_no_spread(self):
         # T approaches the identity as the ridge vanishes, so the propagation
         # residual V that init adds goes to zero and the S that predict
         # carries is the uniform I/M.
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), obs_sigma=1.0, M=6, lambda_tilde=1e-13)
         rng = np.random.default_rng(5)
         state = init(model, cfg, rng)
         assert_allclose(state.S, np.eye(6) / 6.0, atol=1e-8)
 
     def test_nonfinite_particle_raises(self):
-        model = identity_model()
-        blow = StateSpaceModel(
-            **{
-                **{f: getattr(model, f) for f in model.__dataclass_fields__},
-                "process": lambda x, noise, n: x * np.inf,
-            }
-        )
+        model = RANDOM_WALK
+        blow = dataclasses.replace(model, process=lambda x, noise, n: x * np.inf)
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=4)
         rng = np.random.default_rng(6)
         state = init(blow, cfg, rng)
@@ -390,7 +343,7 @@ class TestPredict:
 
 class TestUpdate:
     def test_matches_dense_oracle(self):
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(
             KernelSpec("gaussian", sigma=1.0),
             obs_sigma=0.8,
@@ -414,15 +367,13 @@ class TestUpdate:
         spec = KernelSpec("gaussian", sigma=0.8)
         G = gram(spec, Ensemble(obs), Ensemble(obs))
         g = gram(spec, Ensemble(obs), Ensemble(y.reshape(-1, 1)))[:, 0]
-        Q = S_minus @ np.linalg.inv(G @ S_minus + cfg.kappa * np.eye(5))
-        w_exp = w_minus + Q @ (g - G @ w_minus)
-        S_exp = S_minus - Q @ G @ S_minus
+        w_exp, S_exp = dense_gain(w_minus, S_minus, G, g, cfg.kappa)
         assert_allclose(state.w, w_exp, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.S, S_exp, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("y", [[np.nan], [np.inf], [0.3, 0.1]])
     def test_rejects_a_nonfinite_or_misshaped_observation(self, y):
-        model = identity_model()
+        model = RANDOM_WALK
         rng = np.random.default_rng(7)
         state = init(model, AkkfConfig(KernelSpec("quadratic"), obs_sigma=0.8, M=5), rng)
         with pytest.raises(ValueError, match="finite|state dimension"):
@@ -432,7 +383,7 @@ class TestUpdate:
 class TestEstimate:
     def test_polynomial_kernel_reads_feature_moments(self):
         cfg = AkkfConfig(KernelSpec("quadratic", c=1.0), obs_sigma=1.0, M=3)
-        model = identity_model()
+        model = RANDOM_WALK
         state = init(model, cfg, np.random.default_rng(9))
         state.w = np.array([0.5, 0.3, 0.2])
         belief = estimate(state, 1)
@@ -442,7 +393,7 @@ class TestEstimate:
 
     def test_gaussian_kernel_projects_weight_moments(self):
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=3)
-        model = identity_model()
+        model = RANDOM_WALK
         state = init(model, cfg, np.random.default_rng(10))
         state.w = np.array([0.6, 0.3, 0.1])
         state.S = np.diag([0.02, 0.01, 0.03])
@@ -456,7 +407,7 @@ class TestEstimate:
     )
     def test_nonfinite_moments_diverge(self, kind, poisoned):
         cfg = AkkfConfig(KernelSpec(kind), obs_sigma=1.0, M=3)
-        state = init(identity_model(), cfg, np.random.default_rng(10))
+        state = init(RANDOM_WALK, cfg, np.random.default_rng(10))
         if poisoned == "w":
             state.w = np.array([0.6, np.nan, 0.1])
         else:
@@ -468,7 +419,7 @@ class TestEstimate:
 
 class TestPropose:
     def test_matches_dense_oracle(self, monkeypatch):
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.2), obs_sigma=1.0, M=4, lambda_tilde=5e-3)
         rng = np.random.default_rng(11)
         state = init(model, cfg, rng)
@@ -480,22 +431,16 @@ class TestPropose:
         monkeypatch.setattr(GaussianBelief, "sample", lambda self, rng, count: preset)
         propose(state, estimate(state, 1), rng)
 
-        spec = KernelSpec("gaussian", sigma=1.2)
-        K_pp = gram(spec, Ensemble(preset), Ensemble(preset))
-        K_px = gram(spec, Ensemble(preset), particles)
-        lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
-        inv = np.linalg.inv(K_pp + lam * np.eye(4))
-        Gamma = inv @ K_px
-        R = inv @ K_pp - np.eye(4)
+        Gamma, V = dense_rebasis(cfg, Ensemble(preset), particles)
         S_exp = Gamma @ S_plus @ Gamma.T
         assert np.array_equal(state.particles.particles, preset)
         assert_allclose(state.w, Gamma @ w_plus, rtol=1e-9, atol=1e-12)
-        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0 + R @ R.T / 4.0, rtol=1e-9, atol=1e-12)
+        assert_allclose(state.S, (S_exp + S_exp.T) / 2.0 + V, rtol=1e-9, atol=1e-12)
 
     def test_identity_rebasis_preserves_moments(self, monkeypatch):
         # when the proposal basis equals the current basis and the ridge is
         # tiny, the change of basis is the identity map
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(KernelSpec("gaussian", sigma=1.0), obs_sigma=1.0, M=5, lambda_tilde=1e-12)
         rng = np.random.default_rng(12)
         state = init(model, cfg, rng)
@@ -602,7 +547,7 @@ class TestStep:
         assert min_weight < 0.0
 
     def test_tracks_identity_model(self):
-        model = identity_model()
+        model = RANDOM_WALK
         cfg = AkkfConfig(KernelSpec("gaussian"), obs_sigma=1.0, M=50)
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
@@ -688,8 +633,8 @@ class TestStep:
 
 class TestMultistepOracle:
     def replay(self, model, cfg, ys, after_stage=lambda state: None, lock_step=False):
-        # replay the full cycle with a parallel generator and inverse-based
-        # solves; covers the carry-over of weights and bases across steps.
+        # replay the full cycle with a parallel generator and the dense
+        # oracles; covers the carry-over of weights and bases across steps.
         # after_stage sees the state after init, update and propose.  With
         # lock_step the oracle goes on from the run's proposals instead of
         # its own, so every step compares the weight algebra on the same
@@ -697,22 +642,15 @@ class TestMultistepOracle:
         # through the PSD-repaired readout and its eigen root, and since each
         # step's samples are the next step's particles, they compound past
         # the replay's tolerances within three steps.
-        spec_x, spec_y = cfg.state_kernel, KernelSpec("gaussian", sigma=cfg.obs_sigma)
+        spec_y = KernelSpec("gaussian", sigma=cfg.obs_sigma)
         rng_run = np.random.default_rng(21)
         state = init(model, cfg, np.random.default_rng(77))
         after_stage(state)
         rng_oracle = np.random.default_rng(21)
         m = cfg.M
-
-        def residual_cov(basis):
-            K = gram(spec_x, Ensemble(basis), Ensemble(basis))
-            lam = cfg.lambda_tilde * float(np.mean(np.diag(K)))
-            R = np.linalg.inv(K + lam * np.eye(m)) @ K - np.eye(m)
-            return R @ R.T / m
-
         prop = state.particles.particles.copy()
         w_t = state.w.copy()
-        S_t = np.eye(m) / m + residual_cov(prop)
+        S_t = np.eye(m) / m + dense_rebasis(cfg, Ensemble(prop), Ensemble(prop))[1]
 
         for n in range(ys.shape[1]):
             predict(state, n + 1, model, rng_run)
@@ -726,29 +664,21 @@ class TestMultistepOracle:
 
             noise = model.sample_process_noise(rng_oracle, m)
             cur = model.process(prop, noise, n + 1)
-            w_minus = w_t
-            S_minus = S_t
 
             v = model.sample_measurement_noise(rng_oracle, m)
             obs = model.measure(cur, v)
             G = gram(spec_y, Ensemble(obs), Ensemble(obs))
             g = gram(spec_y, Ensemble(obs), Ensemble(ys[:, n].reshape(-1, 1)))[:, 0]
-            Q = S_minus @ np.linalg.inv(G @ S_minus + cfg.kappa * np.eye(m))
-            w_plus = w_minus + Q @ (g - G @ w_minus)
-            S_plus = S_minus - Q @ G @ S_minus
-            S_plus = (S_plus + S_plus.T) / 2.0
+            w_plus, S_plus = dense_gain(w_t, S_t, G, g, cfg.kappa)
 
             belief = weighted_moments(cur, w_plus)
             prop = belief.sample(rng_oracle, m)
             if lock_step:
                 prop = state.particles.particles.copy()
-            K_pp = gram(spec_x, Ensemble(prop), Ensemble(prop))
-            K_px = gram(spec_x, Ensemble(prop), Ensemble(cur))
-            lam = cfg.lambda_tilde * float(np.mean(np.diag(K_pp)))
-            Gamma = np.linalg.inv(K_pp + lam * np.eye(m)) @ K_px
+            Gamma, V = dense_rebasis(cfg, Ensemble(prop), Ensemble(cur))
             w_t = Gamma @ w_plus
             S_t = Gamma @ S_plus @ Gamma.T
-            S_t = (S_t + S_t.T) / 2.0 + residual_cov(prop)
+            S_t = (S_t + S_t.T) / 2.0 + V
 
             assert_allclose(run_cur, cur, rtol=1e-10)
             assert_allclose(run_w_plus, w_plus, rtol=1e-7, atol=1e-10)
@@ -783,27 +713,12 @@ class TestMultistepOracle:
         self.replay(model, cfg, ys, no_m_by_m_array, lock_step=True)
 
 
-def assert_close_normwise(actual, expected, rtol):
-    """|actual - expected| <= rtol * max|expected|, entry by entry."""
-    assert_allclose(actual, expected, rtol=0, atol=rtol * np.abs(expected).max())
-
-
 def prior_draws(scenario, m, rng, spread=1.0):
     """m prior draws of a scenario, pulled towards the prior mean by ``spread``."""
     model = build_model(scenario)
     draws = model.sample_prior(rng, m)
     mean = model.prior_mean[:, None]
     return Ensemble(mean + spread * (draws - mean))
-
-
-def dense_rebasis(cfg, proposals, particles):
-    """Gamma and V from the proposal self-Gram by a dense LU solve."""
-    K = gram(cfg.state_kernel, proposals, proposals)
-    K_px = gram(cfg.state_kernel, proposals, particles)
-    m = proposals.count
-    X = np.linalg.solve(K + cfg.lambda_tilde * float(np.mean(np.diag(K))) * np.eye(m), np.hstack([K_px, K]))
-    R = X[:, -m:] - np.eye(m)
-    return X[:, :-m], R @ R.T / m
 
 
 class TestLowRankRebasis:
@@ -843,15 +758,8 @@ class TestLowRankRebasis:
         # the r x r factor is the one factorization of the basis, on the
         # lookups perfbench's tracer counts, and no solve follows it; no
         # M x M Gram is built
-        grams = []
-        real_gram = akkf.gram
-
-        def counting_gram(spec, A, B):
-            grams.append((A.count, B.count))
-            return real_gram(spec, A, B)
-
         linalg = spy_cholesky(monkeypatch)
-        monkeypatch.setattr(akkf, "gram", counting_gram)
+        grams = spy_grams(monkeypatch)
         assert akkf.ridge_solve is kernels.ridge_solve
         rng = np.random.default_rng(32)
         cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
@@ -862,14 +770,7 @@ class TestLowRankRebasis:
     def test_bot_ct_quartic_stays_dense(self, monkeypatch):
         # d = 5 gives r = C(9, 4) = 126 > M/2 at M=200: one M x M factor
         # and products with its inverse, no solve
-        grams = []
-        real_gram = akkf.gram
-
-        def counting_gram(spec, A, B):
-            grams.append((A.count, B.count))
-            return real_gram(spec, A, B)
-
-        monkeypatch.setattr(akkf, "gram", counting_gram)
+        grams = spy_grams(monkeypatch)
         linalg = spy_cholesky(monkeypatch)
         rng = np.random.default_rng(33)
         cfg = AkkfConfig(KernelSpec("quartic", c=0.5), obs_sigma=1.0, M=200)
@@ -945,12 +846,10 @@ class TestLowRankGain:
         F = low_rank_factor(spec, obs)
         assert (2 * F.shape[1] <= m) == low_rank
 
-        Q = S @ np.linalg.inv(G @ S + kappa * np.eye(m))
-        w_exp = w + Q @ (g - G @ w)
-        S_exp = S - Q @ G @ S
+        w_exp, S_exp = dense_gain(w, S, G, g, kappa)
         w_plus, S_plus = gain_update(w, S, F, g, kappa)
         assert_close_normwise(w_plus, w_exp, 1e-9)
-        assert_close_normwise(S_plus, (S_exp + S_exp.T) / 2.0, 1e-9)
+        assert_close_normwise(S_plus, S_exp, 1e-9)
         assert np.array_equal(S_plus, S_plus.T)
 
     def test_singular_low_rank_system_raises(self):

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from oracles import clipped_covs, linear_model
 
 from kkbench.baselines import (
     DegenerateWeightsError,
@@ -31,64 +32,12 @@ from kkbench.baselines import (
 from kkbench.kernels import Ensemble, GaussianBelief, psd_repair
 from kkbench.models import (
     BOT_MEASUREMENT_STD,
-    StateSpaceModel,
     _measurement_law,
     bearing,
     bot_cv,
     build_model,
     wrap_angle,
 )
-
-
-def clipped_covs(rng, count=200):
-    """Covariances as the PSD repair leaves them: two zero eigenvalues."""
-    for _ in range(count):
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        yield psd_repair(Q @ np.diag([-1e-3, 0.0, 9.4e-3, 0.15]) @ Q.T)
-
-
-def linear_model(
-    a: float = 0.9,
-    noise_std: float = 0.5,
-    prior_mean: float = 1.0,
-    prior_std: float = 1.0,
-    log_likelihood=None,
-    wrap_residual=None,
-) -> StateSpaceModel:
-    """Scalar system x' = a x + u, y = x + v with equal noise scales."""
-
-    var = noise_std * noise_std
-
-    def process(x, noise, n):
-        return a * x + noise
-
-    def measure(x, noise):
-        return x + noise
-
-    def sample_noise(rng, count):
-        return noise_std * rng.standard_normal((1, count))
-
-    def default_log_likelihood(y, x):
-        delta = (y[0] - x[0]) / noise_std
-        return -0.5 * delta * delta - 0.5 * np.log(2.0 * np.pi) - np.log(noise_std)
-
-    return StateSpaceModel(
-        state_dim=1,
-        obs_dim=1,
-        process_noise_dim=1,
-        process=process,
-        measure=measure,
-        sample_process_noise=sample_noise,
-        sample_measurement_noise=sample_noise,
-        measurement_log_likelihood=log_likelihood or default_log_likelihood,
-        sample_prior=lambda rng, count: prior_mean + prior_std * rng.standard_normal((1, count)),
-        prior_mean=np.array([prior_mean]),
-        prior_cov=np.array([[prior_std * prior_std]]),
-        process_noise_cov=lambda x: var * np.eye(1),
-        measurement_noise_cov=var * np.eye(1),
-        default_horizon=5,
-        wrap_residual=wrap_residual,
-    )
 
 
 def kalman_scalar(a, q, r, m0, p0, ys):
@@ -231,12 +180,7 @@ class TestPf:
 
     def test_constant_likelihood_gives_unweighted_mean(self):
         model = linear_model(a=1.0, log_likelihood=lambda y, x: np.zeros(x.shape[1]))
-        zero_noise = StateSpaceModel(
-            **{
-                **{f: getattr(model, f) for f in model.__dataclass_fields__},
-                "sample_process_noise": lambda rng, count: np.zeros((1, count)),
-            }
-        )
+        zero_noise = dataclasses.replace(model, sample_process_noise=lambda rng, count: np.zeros((1, count)))
         rng = np.random.default_rng(5)
         state = pf_init(zero_noise, 10, rng)
         before = state.particles.copy()
@@ -324,12 +268,7 @@ class TestGpf:
 
     def test_point_mass_stays_put(self):
         model = linear_model(a=1.0, log_likelihood=lambda y, x: np.zeros(x.shape[1]))
-        frozen = StateSpaceModel(
-            **{
-                **{f: getattr(model, f) for f in model.__dataclass_fields__},
-                "sample_process_noise": lambda rng, count: np.zeros((1, count)),
-            }
-        )
+        frozen = dataclasses.replace(model, sample_process_noise=lambda rng, count: np.zeros((1, count)))
         state = GaussianBelief(np.array([0.7]), np.zeros((1, 1)))
         _, out = gpf_step(state, 1, np.array([0.0]), frozen, np.random.default_rng(10), 50)
         assert_allclose(out.mean, [0.7], rtol=1e-12)

@@ -32,7 +32,7 @@ from kkbench.bench import (
     write_summary_csv,
 )
 from kkbench.cli import main
-from kkbench.models import build_model, simulate
+from kkbench.models import SimulationDivergedError, build_model, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +103,8 @@ class TestScenarioConfig:
             ScenarioConfig("ungm", "pf", 10, 0, 0)
         with pytest.raises(ValueError, match="seed"):
             ScenarioConfig("ungm", "pf", 10, 1, -1)
+        with pytest.raises(ValueError, match="at least 1 particle"):
+            ScenarioConfig("ungm", "pf", 0, 1, 0)
 
     def test_known_names_exposed(self):
         assert "ungm" in SCENARIOS
@@ -150,6 +152,18 @@ class TestRunOne:
         assert rec.diverged
         assert np.isnan(rec.metric)
 
+    def test_simulation_divergence_recorded_before_filtering(self, monkeypatch):
+        import kkbench.bench as bench_mod
+
+        def explode(model, horizon, rng):
+            raise SimulationDivergedError(2)
+
+        monkeypatch.setattr(bench_mod, "simulate", explode)
+        rec = run_one(ScenarioConfig("ungm", "pf", 10, 1, 0), 0)
+        assert rec.diverged
+        assert np.isnan(rec.metric)
+        assert rec.runtime_s == 0.0
+
     @pytest.mark.parametrize("metric", [float("inf"), float("-inf"), float("nan")])
     def test_nonfinite_metric_marks_divergence(self, monkeypatch, metric):
         # -inf is lmse's exact-match sentinel; kept, it would make a mean -inf
@@ -160,7 +174,9 @@ class TestRunOne:
         assert rec.diverged
 
     @pytest.mark.parametrize(
-        "filt, callback", [("ukf", "process"), ("ukf", "measure"), ("gpf", "process"), ("pf", "process")]
+        "filt, callback",
+        [("ukf", "process"), ("ukf", "measure"), ("gpf", "process"), ("pf", "process"),
+         ("akkf-quartic", "measure")],
     )
     def test_nonfinite_callback_recorded_as_divergence(self, monkeypatch, filt, callback):
         # the simulation calls the model on one column, the filters on their
@@ -577,6 +593,7 @@ class TestCli:
         assert "scenario" in capsys.readouterr().err
 
     def test_all_diverged_exits_3(self, tmp_path, monkeypatch):
+        import kkbench.bench as bench_mod
         import kkbench.cli as cli_mod
 
         def fake_run_mc(cfg, workers=1):
@@ -584,18 +601,11 @@ class TestCli:
             return records, MetricsSummary(float("nan"), float("nan"), 1, 0.0, float("nan"))
 
         monkeypatch.setattr(cli_mod, "run_mc", fake_run_mc)
-        rc = main(
-            [
-                "run",
-                "--scenario", "ungm",
-                "--filter", "pf",
-                "--particles", "10",
-                "--realizations", "1",
-                "--seed", "0",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 3
+        monkeypatch.setattr(bench_mod, "run_mc", fake_run_mc)
+        for command, cell in [("run", ["--filter", "pf"]), ("sweep", ["--filters", "pf"])]:
+            argv = [command, "--scenario", "ungm", *cell, "--particles", "10", "--realizations", "1",
+                    "--seed", "0", "--out", str(tmp_path / f"{command}.csv")]
+            assert main(argv) == 3
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_in_missing_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch,

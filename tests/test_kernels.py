@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import clipped_covs
 from scipy.linalg.lapack import dtrtri
 
 from kkbench.kernels import (
@@ -33,13 +34,6 @@ from kkbench.kernels import (
 from kkbench.models import build_model
 
 ALL_KINDS = ("quadratic", "quartic", "gaussian")
-
-
-def clipped_readout_covs(rng, count=200):
-    """Readout covariances as the PSD repair leaves them: two zero eigenvalues."""
-    for _ in range(count):
-        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        yield psd_repair(Q @ np.diag([-1e-3, 0.0, 9.4e-3, 0.15]) @ Q.T)
 
 
 def random_ensemble(rng, d, m, scale=1.0):
@@ -688,6 +682,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3), (2, 2, 2)], ids=["M=0", "d=0", "3-D"])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="d x M matrix"):
+            Ensemble(np.zeros(shape))
+
 
 class TestGaussianBelief:
     def test_shape_mismatch(self):
@@ -717,7 +716,7 @@ class TestGaussianBelief:
         # a clipped readout covariance is singular, so a 1e-15 shift must
         # move the draws by rounding only, whichever root a factorization
         # would have taken
-        for C in clipped_readout_covs(np.random.default_rng(12)):
+        for C in clipped_covs(np.random.default_rng(12)):
             draws = [
                 GaussianBelief(np.zeros(4), cov).sample(np.random.default_rng(13), 50)
                 for cov in (C, C + 1e-15 * np.eye(4))

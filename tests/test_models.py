@@ -399,8 +399,6 @@ def toy_model(blowup_at=None):
         return x + 1.0 + noise
 
     return StateSpaceModel(
-        state_dim=1,
-        obs_dim=1,
         process_noise_dim=1,
         process=process,
         measure=lambda x, v: 2.0 * x + v,
@@ -457,3 +455,5 @@ class TestTrajectory:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((2, 3)), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="2-D"):
+            Trajectory(np.zeros(3), np.zeros((1, 3)))
